@@ -1,5 +1,5 @@
 //! Ad-hoc profiling of the L0 sample path: engine (`sample_with`, reused
-//! scratch, batched peel) vs the legacy baseline (`sample_legacy`), across
+//! scratch, table-driven peel) vs the legacy baseline (`sample_legacy`), across
 //! support sizes. Run with:
 //! `cargo run --release -p dgs-bench --example profile_sample`
 

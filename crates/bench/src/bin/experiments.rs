@@ -46,7 +46,7 @@ const DESCRIPTIONS: &[(&str, &str)] = &[
     ),
     (
         "e19",
-        "query latency: parallel arena decode vs the reference decoder",
+        "query latency: level-on-demand decode vs the reference decoder",
     ),
     (
         "e20",

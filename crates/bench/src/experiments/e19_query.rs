@@ -1,14 +1,15 @@
 //! E19 — query latency: decode wall-time vs |V|, threads, and k.
 //!
-//! The arena decode engine (`SpanningForestSketch::try_decode_with_scratch`)
+//! The decode engine (`SpanningForestSketch::try_decode_with_scratch`)
 //! replaces the historical clone-and-merge Borůvka decoder: per round it
-//! folds each component's member samplers with lazy u128 partial sums into
-//! a flat reusable arena (zero steady-state allocations), decodes the
-//! component samplers on striped scoped threads, and batches the peel
-//! loop's field inversions. The historical decoder is retained as
-//! `try_decode_reference` and is the sequential baseline every engine row's
-//! speedup is measured against — and because both paths are exact field
-//! arithmetic over the same seeds, every engine answer must be
+//! samples each component by folding its members' ℓ0 levels one at a time,
+//! only as far as the level walk reads (lazy u128 sums, eight members per
+//! pass), stripes components over the worker pool, and peels with table
+//! inverses and a cached power table of the level's fingerprint point
+//! instead of Fermat inversions and `z.pow`. The historical decoder is
+//! retained as `try_decode_reference` and is the sequential baseline every
+//! engine row's speedup is measured against — and because both paths are
+//! exact field arithmetic over the same seeds, every engine answer must be
 //! byte-identical to the reference's, which this experiment asserts on
 //! every row while writing the machine-readable baseline `BENCH_query.json`
 //! that the CI bench-smoke job (`experiments check-query`) guards.
@@ -76,10 +77,10 @@ fn forest_sketch(n: usize, seed: u64) -> SpanningForestSketch {
 fn time_grid(trials: usize, variants: &mut [&mut (dyn FnMut() + '_)]) -> Vec<Vec<f64>> {
     let mut times = vec![vec![0.0f64; trials]; variants.len()];
     for trial in 0..trials {
-        for (v, f) in variants.iter_mut().enumerate() {
+        for (f, series) in variants.iter_mut().zip(times.iter_mut()) {
             let t = Instant::now();
             f();
-            times[v][trial] = t.elapsed().as_secs_f64() * 1e3;
+            series[trial] = t.elapsed().as_secs_f64() * 1e3;
         }
     }
     times
@@ -181,11 +182,7 @@ pub fn measure(quick: bool) -> Measurement {
     for k in [2usize, 4] {
         let space = EdgeSpace::graph(skel_n).unwrap();
         let mut sk = KSkeletonSketch::new(space, k, &SeedTree::new(seed + k as u64), lean_forest());
-        let g = gnm(
-            skel_n,
-            5 * skel_n,
-            &mut StdRng::seed_from_u64(seed as u64 + 7),
-        );
+        let g = gnm(skel_n, 5 * skel_n, &mut StdRng::seed_from_u64(seed + 7));
         for (u, v) in g.edges() {
             sk.update(&HyperEdge::pair(u, v), 1);
         }
@@ -230,7 +227,7 @@ pub fn measure(quick: bool) -> Measurement {
     let cfg = VertexConnConfig::query(2, vc_n, 2.0, Profile::Practical);
     let space = EdgeSpace::graph(vc_n).unwrap();
     let mut vc = VertexConnSketch::new(space, cfg, &SeedTree::new(seed + 40));
-    let g = gnm(vc_n, 5 * vc_n, &mut StdRng::seed_from_u64(seed as u64 + 9));
+    let g = gnm(vc_n, 5 * vc_n, &mut StdRng::seed_from_u64(seed + 9));
     for (u, v) in g.edges() {
         vc.update(&HyperEdge::pair(u, v), 1);
     }

@@ -411,7 +411,7 @@ pub fn measure(quick: bool) -> Measurement {
         *live_edges.entry(u.edge.clone()).or_insert(0) += u.op.delta();
         pos += 1;
 
-        if pos % QUERY_EVERY == 0 {
+        if pos.is_multiple_of(QUERY_EVERY) {
             queries += 1;
             let truth = exact_components(n, &live_edges);
             let answer = sup

@@ -53,14 +53,17 @@ struct ForestMetrics {
     rounds_used: Histogram,
     rounds_budget: Gauge,
     batch_zero_skips: Counter,
-    /// Wall time of the component-aggregation phase per decode (ns,
-    /// critical path across stripes).
+    /// Fold time per decode: loading each sampled level from the
+    /// component's members — a sum for a merged component, a copy for a
+    /// singleton (ns, on the slowest stripe of each round).
     decode_aggregate_ns: Histogram,
-    /// Wall time of the sampler-decode phase per decode (ns, critical
-    /// path across stripes).
+    /// Peel time per decode: the ℓ0 level walks and sparse-recovery peels
+    /// (ns, on the slowest stripe of each round). Folding happens level by
+    /// level inside the walk, so this is the stripe's time minus its fold
+    /// time, and fold + peel never exceed the stripe's wall time.
     decode_sample_ns: Histogram,
-    /// Wall time of the sequential merge/certification phase per decode
-    /// (ns).
+    /// Union-find time per decode: the sequential classify, merge and
+    /// certification pass (ns).
     decode_merge_ns: Histogram,
 }
 
@@ -80,23 +83,21 @@ impl ForestMetrics {
     }
 }
 
-/// Reusable state for the arena decode engine
+/// Reusable state for the decode engine
 /// ([`SpanningForestSketch::try_decode_with_scratch`]).
 ///
-/// Holds the component-sum arena (one `[W | S | F]` stripe of
-/// [`L0Sampler::state_len`] cells per live component), the per-stripe lazy
-/// `u128` accumulators, the union-find grouping tables, and the per-stripe
-/// peeling scratch. Buffers are resized but never shrunk, so a scratch
-/// reused across decode calls performs **zero steady-state allocations**
-/// beyond the returned edge list: the arena high-water mark is reached on
-/// the first round of the first decode (every vertex is its own
-/// component) and every later round fits inside it.
+/// Holds the union-find grouping tables (`O(|V|)` words), the per-round
+/// sample outcomes and merge lists, and one [`dgs_sketch::PeelScratch`]
+/// per decode stripe — which in turn holds a single ℓ0 level's cells, the
+/// only sampler state a decode ever copies. Nothing here scales with the
+/// sketch's state size, so the fresh scratch that the convenience entry
+/// points ([`try_decode_with_labels`](SpanningForestSketch::try_decode_with_labels)
+/// and friends) build per call costs a few small allocations. Buffers are
+/// resized but never shrunk, so a scratch reused across decodes stops
+/// allocating once its tables have grown to the largest sketch it served;
+/// the returned edge list and union-find are always fresh.
 #[derive(Debug, Default)]
 pub struct DecodeScratch {
-    /// Component-sum arena: `live_components * stride` field elements.
-    agg: Vec<Fp>,
-    /// Lazy accumulators, one `stride`-length stripe per worker.
-    acc: Vec<u128>,
     /// Union-find root of each local vertex this round.
     root_of: Vec<u32>,
     /// Root -> component slot (ascending-root order).
@@ -111,7 +112,7 @@ pub struct DecodeScratch {
     members: Vec<u32>,
     /// Per-slot sample outcome of the current round.
     results: Vec<SketchResult<Option<(u64, i64)>>>,
-    /// Per-worker peeling scratch.
+    /// Per-stripe peeling scratch: one folded level each.
     peel: Vec<dgs_sketch::PeelScratch>,
     /// Edges sampled this round, in ascending-root order.
     merges: Vec<HyperEdge>,
@@ -130,7 +131,7 @@ impl DecodeScratch {
 }
 
 /// Per-component verdict of one round's sample, shared by the reference
-/// decoder and the arena engine.
+/// decoder and the decode engine.
 enum SampleOutcome {
     /// The component advanced: an edge was queued or its boundary is
     /// certified zero.
@@ -773,13 +774,13 @@ impl SpanningForestSketch {
         self.decode_impl(true, threads, &mut DecodeScratch::new())
     }
 
-    /// The full-control decode entry point: the arena engine with an
+    /// The full-control decode entry point: the decode engine with an
     /// explicit thread count and a caller-owned reusable scratch.
     ///
-    /// Repeated calls with the same scratch perform zero steady-state
-    /// allocations beyond the returned edge list (see [`DecodeScratch`]),
-    /// and the answer is bit-identical for every `threads` value — see
-    /// `decode_impl` for why.
+    /// A reused scratch keeps its grouping tables and per-stripe level
+    /// buffers across calls (see [`DecodeScratch`]); the answer is
+    /// bit-identical for every `threads` value — see `decode_impl` for
+    /// why.
     pub fn try_decode_with_scratch(
         &self,
         strict: bool,
@@ -805,8 +806,8 @@ impl SpanningForestSketch {
     /// component, folds the remaining members in with
     /// [`L0Sampler::add_assign_sketch`], and samples through the historical
     /// peel loop ([`L0Sampler::sample_legacy`]: fresh allocations, a Fermat
-    /// inversion per nonzero cell per pass). The arena engine must match it
-    /// bit for bit — the equivalence tests and experiment E19's baseline
+    /// inversion per nonzero cell per pass). The decode engine must match
+    /// it bit for bit — the equivalence tests and experiment E19's baseline
     /// rows both lean on that.
     pub fn try_decode_reference(&self, strict: bool) -> SketchResult<(Vec<HyperEdge>, UnionFind)> {
         self.metrics.decode_attempts.inc();
@@ -877,7 +878,7 @@ impl SpanningForestSketch {
 
     /// Applies the strict-weight and vertex-set checks to one component's
     /// sample outcome, pushing a sampled edge onto `merges`. Shared by the
-    /// reference decoder and the arena engine so both surface byte-for-byte
+    /// reference decoder and the decode engine so both surface byte-for-byte
     /// identical errors in identical (ascending-root) order.
     fn classify_sample(
         &self,
@@ -912,29 +913,33 @@ impl SpanningForestSketch {
         }
     }
 
-    /// The arena decode engine.
+    /// The decode engine.
     ///
     /// Per Borůvka round: group the local vertices by union-find root
     /// (ascending-root component slots — the same order the reference
-    /// decoder's `BTreeMap` iterates), fold every component's member
-    /// samplers into a flat `[W | S | F]` arena stripe with lazy `u128`
-    /// accumulation ([`L0Sampler::accumulate_state`], reduced once per
-    /// stripe), and sample each stripe through the round's seed template
-    /// ([`L0Sampler::sample_state`]). Component slots are carved into
-    /// contiguous chunks across scoped worker threads — the same
+    /// decoder's `BTreeMap` iterates) and sample one boundary edge per
+    /// component with [`L0Sampler::sample_sum`] over its members, the
+    /// first member's seeds serving as the template. It folds the
+    /// members' level `j` into a one-level buffer only when the level walk
+    /// reaches `j`, skipping members whose touched watermark says their
+    /// level `j` is zero, so no component sum is ever materialised beyond
+    /// the level being peeled (a singleton's levels are copied). Component
+    /// slots are
+    /// carved into contiguous chunks across the worker pool — the same
     /// contiguous-chunk striping discipline as
     /// [`try_update_batch_striped`](Self::try_update_batch_striped); each
-    /// worker owns disjoint arena and result ranges, and the per-slot
-    /// outcomes are then scanned **sequentially in slot order**, so
-    /// errors, merges, and certification decisions are independent of
-    /// thread interleaving.
+    /// worker owns disjoint result ranges and its own peel scratch, and
+    /// the per-slot outcomes are then scanned **sequentially in slot
+    /// order**, so errors, merges, and certification decisions are
+    /// independent of thread interleaving.
     ///
     /// Bit-identity with [`try_decode_reference`]
     /// (Self::try_decode_reference) holds because (a) field addition is
-    /// exact and commutative, so a lazily-reduced member fold equals the
-    /// reference's incremental merge-adds cell for cell, (b) sampling is
-    /// a deterministic function of the aggregate state and the round
-    /// seeds, and (c) the slot-order scan replays the reference's
+    /// exact and commutative, so each folded level equals the reference's
+    /// incremental merge-adds cell for cell, (b) sampling is a
+    /// deterministic function of the summed cells and the round seeds —
+    /// the level walk stops at the same level whether or not the higher
+    /// levels exist — and (c) the slot-order scan replays the reference's
     /// ascending-root processing exactly. Cross-*round* reuse of component
     /// sums is deliberately **not** attempted: each round carries fresh
     /// seeds (the Section 4.2 independence requirement), so a component's
@@ -956,15 +961,12 @@ impl SpanningForestSketch {
         use std::time::Instant;
         self.metrics.decode_attempts.inc();
         let nv = self.vertices.len();
-        let stride = self.samplers.first().map_or(0, |s| s.state_len());
         let mut uf = UnionFind::new(nv);
         // True iff the most recent round proved the partition stable.
         let mut last_round_certified = true;
         let mut rounds_used = 0u64;
-        let (mut agg_ns, mut sample_ns, mut merge_ns) = (0u64, 0u64, 0u64);
+        let (mut fold_ns, mut peel_ns, mut merge_ns) = (0u64, 0u64, 0u64);
         let DecodeScratch {
-            agg,
-            acc,
             root_of,
             slot_of,
             roots,
@@ -978,7 +980,6 @@ impl SpanningForestSketch {
             out,
         } = scratch;
         out.clear();
-        agg.resize(nv * stride, Fp::ZERO);
         root_of.resize(nv, 0);
         slot_of.resize(nv, 0);
         members.resize(nv, 0);
@@ -1025,128 +1026,67 @@ impl SpanningForestSketch {
                 .div_ceil(threads.max(1))
                 .max(MIN_SLOTS_PER_STRIPE.min(live.max(1)));
             let stripes = live.div_ceil(chunk);
-            acc.resize(stripes * stride, 0);
             if peel.len() < stripes {
                 peel.resize_with(stripes, dgs_sketch::PeelScratch::default);
             }
-            // One stripe's work: fold each slot's members into its arena
-            // stripe, then sample every aggregate. Returns the stripe's
-            // (aggregate, sample) phase times.
+            let row = &self.samplers[round * nv..(round + 1) * nv];
+            // One stripe's work: sample every component of its slots.
+            // Returns the stripe's (fold, peel) times, which sum to its
+            // wall time.
             let run_stripe = |slot_lo: usize,
-                              arena: &mut [Fp],
-                              acc: &mut [u128],
                               peel: &mut dgs_sketch::PeelScratch,
                               res: &mut [SketchResult<Option<(u64, i64)>>]|
              -> (u64, u64) {
                 let t0 = Instant::now();
-                for (k, slot_state) in arena.chunks_exact_mut(stride).enumerate() {
+                peel.take_fold_ns();
+                for (k, outcome) in res.iter_mut().enumerate() {
                     let slot = slot_lo + k;
-                    let lo = starts[slot] as usize;
-                    let hi = starts[slot + 1] as usize;
-                    if hi - lo == 1 {
-                        // Singleton component: sampled below directly from
-                        // its own cells; no arena state to build.
-                        continue;
-                    }
-                    let template = &self.samplers[round * nv + members[lo] as usize];
-                    // Fold only each member's populated level prefix; the
-                    // suffix of every sampler is identically zero, so the
-                    // component sum past the longest prefix is zero too and
-                    // a fill reconstructs it without touching the members.
-                    let mut plen = 0usize;
-                    for &m in &members[lo..hi] {
-                        let sampler = &self.samplers[round * nv + m as usize];
-                        if let Err(e) = template.check_compatible(sampler) {
-                            res[k] = Err(e);
-                            break;
-                        }
-                        let want = sampler.touched_state_len();
-                        if want > plen {
-                            acc[plen..want].fill(0);
-                            plen = want;
-                        }
-                        sampler.accumulate_state_touched(acc);
-                    }
-                    if res[k].is_err() {
-                        continue;
-                    }
-                    Fp::reduce_batch(&mut slot_state[..plen], &acc[..plen]);
-                    slot_state[plen..].fill(Fp::ZERO);
+                    let group = &members[starts[slot] as usize..starts[slot + 1] as usize];
+                    // The first member's seeds are the template, as in the
+                    // reference, which clones it before merging the rest.
+                    let template = &row[group[0] as usize];
+                    *outcome = template.sample_sum(group.iter().map(|&m| &row[m as usize]), peel);
                 }
-                let t1 = Instant::now();
-                for (k, slot_state) in arena.chunks_exact(stride).enumerate() {
-                    if res[k].is_err() {
-                        continue;
-                    }
-                    let slot = slot_lo + k;
-                    let lo = starts[slot] as usize;
-                    let template = &self.samplers[round * nv + members[lo] as usize];
-                    // Singletons peel the sampler's own cells (same `(W, S,
-                    // F)` values the copy would hold, so same outcome);
-                    // merged components peel their arena aggregate.
-                    res[k] = if starts[slot + 1] as usize - lo == 1 {
-                        template.sample_with(peel)
-                    } else {
-                        template.sample_state(slot_state, peel)
-                    };
-                }
-                (
-                    t1.duration_since(t0).as_nanos() as u64,
-                    t1.elapsed().as_nanos() as u64,
-                )
+                let wall = t0.elapsed().as_nanos() as u64;
+                let fold = peel.take_fold_ns().min(wall);
+                (fold, wall - fold)
             };
-            if stripes <= 1 {
-                let (a, s) = run_stripe(
-                    0,
-                    &mut agg[..live * stride],
-                    &mut acc[..stride],
-                    &mut peel[0],
-                    &mut results[..],
-                );
-                agg_ns += a;
-                sample_ns += s;
+            let (fold, peeled) = if stripes <= 1 {
+                run_stripe(0, &mut peel[0], &mut results[..])
             } else {
                 // Sticky fan-out on the persistent pool: stripe `t` goes to
                 // worker `t` every round, so a worker re-reads the sampler
                 // rows it folded the round before. Each job writes its
                 // phase times into its own `phase_ns` slot (disjoint
                 // `&mut` from `iter_mut`); the scope barrier fills them
-                // all before the maxima below are taken.
+                // all before the slowest stripe is picked below.
                 let mut phase_ns: Vec<(u64, u64)> = vec![(0, 0); stripes];
                 dgs_pool::with_local_pool(stripes, |pool| {
                     pool.scope(|scope| {
                         let run_stripe = &run_stripe;
-                        let mut arena_rest = &mut agg[..live * stride];
                         let mut res_rest = &mut results[..];
-                        let mut acc_rest = &mut acc[..];
                         let mut peel_rest = &mut peel[..];
                         for (stripe, phase) in phase_ns.iter_mut().enumerate() {
                             let lo = stripe * chunk;
                             let take = chunk.min(live - lo);
-                            let (arena_mine, arena_tail) = arena_rest.split_at_mut(take * stride);
-                            arena_rest = arena_tail;
                             let (res_mine, res_tail) = res_rest.split_at_mut(take);
                             res_rest = res_tail;
-                            let (acc_mine, acc_tail) = acc_rest.split_at_mut(stride);
-                            acc_rest = acc_tail;
                             let (peel_mine, peel_tail) = peel_rest.split_at_mut(1);
                             peel_rest = peel_tail;
                             scope.spawn(stripe, move || {
-                                *phase = run_stripe(
-                                    lo,
-                                    arena_mine,
-                                    acc_mine,
-                                    &mut peel_mine[0],
-                                    res_mine,
-                                );
+                                *phase = run_stripe(lo, &mut peel_mine[0], res_mine);
                             });
                         }
                     });
                 });
                 // The phase cost is the critical path: the slowest stripe.
-                agg_ns += phase_ns.iter().map(|&(a, _)| a).max().unwrap_or(0);
-                sample_ns += phase_ns.iter().map(|&(_, s)| s).max().unwrap_or(0);
-            }
+                phase_ns
+                    .into_iter()
+                    .max_by_key(|&(f, p)| f + p)
+                    .unwrap_or((0, 0))
+            };
+            fold_ns += fold;
+            peel_ns += peeled;
             // Sequential post-pass in slot (ascending-root) order: strict
             // checks, fatal errors, merges, and certification all replay
             // the reference decoder's processing order exactly, so the
@@ -1174,14 +1114,14 @@ impl SpanningForestSketch {
             }
             merge_ns += t2.elapsed().as_nanos() as u64;
         }
-        self.metrics.decode_aggregate_ns.record(agg_ns);
-        self.metrics.decode_sample_ns.record(sample_ns);
+        self.metrics.decode_aggregate_ns.record(fold_ns);
+        self.metrics.decode_sample_ns.record(peel_ns);
         self.metrics.decode_merge_ns.record(merge_ns);
         // Under an ambient request trace these become phase spans of the
         // decode (inert otherwise), linking the per-phase histograms above
         // to the specific request that produced them.
-        dgs_trace::phase("dgs_connectivity_forest_decode_aggregate", agg_ns);
-        dgs_trace::phase("dgs_connectivity_forest_decode_sample", sample_ns);
+        dgs_trace::phase("dgs_connectivity_forest_decode_aggregate", fold_ns);
+        dgs_trace::phase("dgs_connectivity_forest_decode_sample", peel_ns);
         dgs_trace::phase("dgs_connectivity_forest_decode_merge", merge_ns);
         if uf.component_count() > 1 && !last_round_certified {
             self.metrics.decode_failures.inc();
@@ -1606,11 +1546,48 @@ mod tests {
         }
     }
 
+    /// Asserts the engine replays the clone-and-merge reference exactly —
+    /// same edges, same labels, or the same error — at every thread count,
+    /// strict and non-strict.
+    fn assert_engine_matches_reference(sk: &SpanningForestSketch, case: &str) {
+        for strict in [false, true] {
+            let reference = sk.try_decode_reference(strict);
+            for threads in [1usize, 2, 4, 7] {
+                let mut scratch = DecodeScratch::new();
+                let engine = sk.try_decode_with_scratch(strict, threads, &mut scratch);
+                match (&reference, &engine) {
+                    (Ok((re, ru)), Ok((ee, eu))) => {
+                        assert_eq!(re, ee, "{case} strict={strict} threads={threads}");
+                        assert_eq!(
+                            ru.clone().labels(),
+                            eu.clone().labels(),
+                            "{case} strict={strict} threads={threads}"
+                        );
+                    }
+                    (Err(a), Err(b)) => assert_eq!(
+                        (a.is_retryable(), a.to_string()),
+                        (b.is_retryable(), b.to_string()),
+                        "{case} strict={strict} threads={threads}"
+                    ),
+                    _ => panic!(
+                        "{case} strict={strict} threads={threads}: \
+                         reference {reference:?} vs engine {engine:?}"
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Applies `stream` to `sk` as signed updates.
+    fn apply_stream(sk: &mut SpanningForestSketch, stream: &[dgs_hypergraph::Update]) {
+        for u in stream {
+            sk.update(&u.edge, u.op.delta());
+        }
+    }
+
     #[test]
-    fn arena_decode_matches_reference_bit_for_bit() {
-        // The engine must replay the clone-and-merge reference exactly —
-        // same edges, same labels — for every thread count, on graphs and
-        // hypergraphs, strict and non-strict.
+    fn decode_matches_reference_on_insert_only_streams() {
+        // Insert-only graphs and hypergraphs.
         let mut rng = StdRng::seed_from_u64(23);
         for trial in 0..12 {
             let n = rng.gen_range(5..28);
@@ -1627,31 +1604,157 @@ mod tests {
                     sk.update(e, 1);
                 }
             }
-            for strict in [false, true] {
-                let reference = sk.try_decode_reference(strict);
-                for threads in [1usize, 2, 4, 7] {
-                    let mut scratch = DecodeScratch::new();
-                    let engine = sk.try_decode_with_scratch(strict, threads, &mut scratch);
-                    match (&reference, &engine) {
-                        (Ok((re, ru)), Ok((ee, eu))) => {
-                            assert_eq!(re, ee, "trial {trial} strict={strict} threads={threads}");
-                            assert_eq!(
-                                ru.clone().labels(),
-                                eu.clone().labels(),
-                                "trial {trial} strict={strict} threads={threads}"
-                            );
-                        }
-                        (Err(a), Err(b)) => assert_eq!(
-                            (a.is_retryable(), a.to_string()),
-                            (b.is_retryable(), b.to_string()),
-                            "trial {trial} strict={strict} threads={threads}"
-                        ),
-                        _ => panic!(
-                            "trial {trial} strict={strict} threads={threads}: \
-                             reference {reference:?} vs engine {engine:?}"
-                        ),
-                    }
+            assert_engine_matches_reference(&sk, &format!("insert-only trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_on_churn_streams() {
+        // Deletions leave touched watermarks above the live levels, which
+        // the level-on-demand fold must treat as (zero) state, not skip.
+        use dgs_hypergraph::generators::{churn_stream, ChurnConfig};
+        let mut rng = StdRng::seed_from_u64(26);
+        for trial in 0..6 {
+            let n = rng.gen_range(8..40);
+            let g = gnp(n, rng.gen_range(0.05..0.35), &mut rng);
+            let cfg = ChurnConfig {
+                noise_ratio: 1.0,
+                churn_ratio: 0.5,
+            };
+            let stream = churn_stream(&Hypergraph::from_graph(&g), cfg, &mut rng);
+            let mut sk = graph_sketch(n, 3000 + trial);
+            apply_stream(&mut sk, &stream.updates);
+            assert_engine_matches_reference(&sk, &format!("churn trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_at_n256_on_deep_levels() {
+        // The query-serve shape: gnp(256) with average degree 8 through a
+        // churn stream. Merged components' boundaries grow to hundreds of
+        // edges within a few rounds, so their level walks stop at levels
+        // 3-5 — the folds the level-on-demand engine defers.
+        use dgs_hypergraph::generators::{churn_stream, ChurnConfig};
+        let n = 256;
+        let mut rng = StdRng::seed_from_u64(27);
+        let g = gnp(n, 8.0 / (n - 1) as f64, &mut rng);
+        let stream = churn_stream(
+            &Hypergraph::from_graph(&g),
+            ChurnConfig::default(),
+            &mut rng,
+        );
+        let mut sk = graph_sketch(n, 3100);
+        apply_stream(&mut sk, &stream.updates);
+        assert_engine_matches_reference(&sk, "gnp n=256 churn");
+    }
+
+    #[test]
+    fn decode_matches_reference_on_weighted_multigraphs() {
+        // Multiplicities past the inverse table's bound make one-sparse
+        // cells carry |W| > SMALL_INV_BOUND, so the peel's batch-inverse
+        // fallback runs; strict decodes reject those weights identically.
+        let bound = dgs_field::fp61::SMALL_INV_BOUND as i64;
+        let mut rng = StdRng::seed_from_u64(28);
+        for trial in 0..6 {
+            let n = rng.gen_range(6..30);
+            let g = gnp(n, rng.gen_range(0.1..0.4), &mut rng);
+            let mut sk = graph_sketch(n, 3200 + trial);
+            for (u, v) in g.edges() {
+                let w = *[1, 2, bound + 1, 3 * bound, 1 << 20]
+                    .choose(&mut rng)
+                    .unwrap();
+                sk.update(&HyperEdge::pair(u, v), w);
+                if rng.gen_bool(0.3) {
+                    // Partial cancellation keeps a positive multiplicity.
+                    sk.update(&HyperEdge::pair(u, v), -(w - 1).min(bound));
                 }
+            }
+            assert_engine_matches_reference(&sk, &format!("weighted trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_when_every_level_is_too_dense() {
+        // A player message carrying far more support than any level can
+        // hold: vertex 0's samplers are dense at every level. Vertex 1
+        // samples the real edge (0, 1) in round 0, so from round 1 on the
+        // merged component {0, 1} walks and fails all its levels, and the
+        // decode must end in the reference's retryable failure.
+        let space = EdgeSpace::graph(200).unwrap();
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        let dimension = space.dimension();
+        let mut sk = SpanningForestSketch::new_induced(
+            space,
+            vec![0, 1, 2, 3],
+            &SeedTree::new(3300),
+            params,
+        );
+        sk.update(&HyperEdge::pair(0, 1), 1);
+        sk.update(&HyperEdge::pair(2, 3), 1);
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut dense = sk.vertex_samplers(0);
+        for s in &mut dense {
+            for _ in 0..2000 {
+                s.update(rng.gen_range(0..dimension), 1).unwrap();
+            }
+        }
+        sk.try_set_vertex_samplers(0, dense).unwrap();
+        let err = sk.try_decode_reference(false).unwrap_err();
+        assert!(err.is_retryable(), "{err}");
+        assert_engine_matches_reference(&sk, "dense component");
+    }
+
+    #[test]
+    fn decode_matches_reference_on_zero_sketches() {
+        // Never updated, and updated then fully cancelled (touched
+        // watermarks high, every cell zero): certified-zero everywhere.
+        let empty = graph_sketch(9, 3400);
+        assert_engine_matches_reference(&empty, "empty");
+        let mut cancelled = graph_sketch(9, 3401);
+        let g = Graph::complete(9);
+        load_graph(&mut cancelled, &g);
+        for (u, v) in g.edges() {
+            cancelled.update(&HyperEdge::pair(u, v), -1);
+        }
+        assert_engine_matches_reference(&cancelled, "cancelled");
+        let (edges, mut labels) = cancelled
+            .try_decode_with_scratch(true, 2, &mut DecodeScratch::new())
+            .unwrap();
+        assert!(edges.is_empty());
+        assert_eq!(labels.component_count(), 9);
+        assert_eq!(labels.labels(), (0..9).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn decode_phase_times_fit_inside_the_decode() {
+        // Fold (aggregate), peel (sample) and union-find (merge) are timed
+        // separately although folding interleaves with peeling; their
+        // sum must never exceed the wall time of the decode that recorded
+        // them, at any thread count.
+        use dgs_obs::Registry;
+        let mut rng = StdRng::seed_from_u64(30);
+        for (trial, n) in [12usize, 40, 96].into_iter().enumerate() {
+            let mut sk = graph_sketch(n, 3500 + trial as u64);
+            load_graph(&mut sk, &gnp(n, 6.0 / n as f64, &mut rng));
+            for threads in [1usize, 2, 4] {
+                let registry = Registry::new();
+                sk.set_sink(&registry.sink());
+                let t = std::time::Instant::now();
+                let got = sk.try_decode_with_scratch(false, threads, &mut DecodeScratch::new());
+                let wall = t.elapsed().as_nanos() as u64;
+                got.unwrap();
+                let phase = |name: &str| {
+                    let stats = registry
+                        .histogram_stats(&format!("dgs_connectivity_forest_decode_{name}_ns"))
+                        .unwrap();
+                    assert_eq!(stats.count, 1, "{name}: one record per decode");
+                    stats.sum
+                };
+                let sum = phase("aggregate") + phase("sample") + phase("merge");
+                assert!(
+                    sum <= wall,
+                    "n={n} threads={threads}: phases {sum} ns > decode {wall} ns"
+                );
             }
         }
     }
@@ -1662,7 +1765,7 @@ mod tests {
         // each holding a shard of the stream, sum through the
         // `L0Sampler::check_compatible`-guarded merge to exactly the
         // full-stream sketch — byte-identical state, and byte-identical
-        // decodes on both the reference and the arena engine paths.
+        // decodes on both the reference and the decode engine paths.
         use dgs_field::{Codec, Writer};
         let bytes = |sk: &SpanningForestSketch| {
             let mut w = Writer::new();
@@ -1705,24 +1808,37 @@ mod tests {
 
     #[test]
     fn decode_scratch_is_reusable_across_sketches() {
-        // One scratch, many decodes of different shapes: results must match
-        // fresh-scratch decodes every time (no state leaks between calls).
+        // One scratch, many decodes of different shapes — growing and
+        // shrinking n, and so the level count, the fingerprint points the
+        // peel's power table caches, and the stripe count: results must
+        // match fresh-scratch decodes every time (no state leaks between
+        // calls).
         let mut rng = StdRng::seed_from_u64(24);
         let mut scratch = DecodeScratch::new();
-        for trial in 0..8 {
-            let n = rng.gen_range(4..24);
+        for (trial, n) in [6usize, 130, 4, 23, 300, 9, 64].into_iter().enumerate() {
+            let trial = trial as u64;
             let mut sk = graph_sketch(n, 1000 + trial);
-            load_graph(&mut sk, &gnp(n, rng.gen_range(0.1..0.6), &mut rng));
-            let fresh = sk
-                .try_decode_with_scratch(false, 2, &mut DecodeScratch::new())
-                .unwrap();
-            let reused = sk.try_decode_with_scratch(false, 2, &mut scratch).unwrap();
-            assert_eq!(fresh.0, reused.0, "trial {trial}");
-            assert_eq!(
-                fresh.1.clone().labels(),
-                reused.1.clone().labels(),
-                "trial {trial}"
-            );
+            let p = (rng.gen_range(2.0..6.0) / n as f64).min(0.9);
+            load_graph(&mut sk, &gnp(n, p, &mut rng));
+            for threads in [1usize, 3] {
+                let fresh = sk.try_decode_with_scratch(false, threads, &mut DecodeScratch::new());
+                let reused = sk.try_decode_with_scratch(false, threads, &mut scratch);
+                match (fresh, reused) {
+                    (Ok(fresh), Ok(reused)) => {
+                        assert_eq!(fresh.0, reused.0, "n={n} threads={threads}");
+                        assert_eq!(
+                            fresh.1.clone().labels(),
+                            reused.1.clone().labels(),
+                            "n={n} threads={threads}"
+                        );
+                    }
+                    (fresh, reused) => assert_eq!(
+                        fresh.map(|_| ()).unwrap_err().to_string(),
+                        reused.map(|_| ()).unwrap_err().to_string(),
+                        "n={n} threads={threads}"
+                    ),
+                }
+            }
         }
     }
 

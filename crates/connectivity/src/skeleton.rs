@@ -112,8 +112,8 @@ impl KSkeletonSketch {
     /// The layer loop itself is inherently sequential — `F_i` is decoded
     /// from `A^i(G) - Σ_{j<i} A^i(F_j)`, so layer `i` cannot start until
     /// every earlier forest is known. Parallelism comes from inside each
-    /// step instead: each layer's Borůvka decode runs on the striped arena
-    /// engine, and each recovered forest is subtracted from the remaining
+    /// step instead: each layer's Borůvka decode runs on the striped
+    /// decode engine, and each recovered forest is subtracted from the remaining
     /// layers concurrently (disjoint `&mut` layer chunks, one scoped thread
     /// each). Field addition is exact and each forest is applied to each
     /// later layer exactly once, so the result is bit-identical to the

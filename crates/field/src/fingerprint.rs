@@ -147,9 +147,22 @@ impl PowTable {
         Fp::from_i64(delta).mul(self.pow(index))
     }
 
+    /// `weight * z^index` — exactly [`Fingerprinter::expected`], with the
+    /// power read from the table. This is the peeling decoder's one-sparse
+    /// verification.
+    #[inline]
+    pub fn expected(&self, index: u64, weight: Fp) -> Fp {
+        weight.mul(self.pow(index))
+    }
+
     /// The largest index the table can exponentiate.
     pub fn max_index(&self) -> u64 {
         self.max_index
+    }
+
+    /// The point `z` the table powers (`windows[0][1] = z^1`).
+    pub fn point(&self) -> Fp {
+        self.windows[0][1]
     }
 }
 
@@ -224,6 +237,24 @@ mod tests {
         let table = f.power_table(1 << 30);
         for (idx, delta) in [(0u64, 1i64), (5, -3), (1 << 20, 7), ((1 << 30) - 1, -1)] {
             assert_eq!(table.term(idx, delta), f.term(idx, delta), "idx {idx}");
+        }
+    }
+
+    #[test]
+    fn power_table_expected_matches_fingerprinter() {
+        let f = fper(10);
+        let max = (1u64 << 15) - 1;
+        let table = f.power_table(max);
+        assert_eq!(table.point(), f.point());
+        for idx in [0u64, 1, 16, 4097, max - 1, max] {
+            for w in [1i64, -1, 2, -7, 300] {
+                let weight = Fp::from_i64(w);
+                assert_eq!(
+                    table.expected(idx, weight),
+                    f.expected(idx, weight),
+                    "idx {idx}, w {w}"
+                );
+            }
         }
     }
 

@@ -40,6 +40,34 @@ pub(crate) fn mul61(a: u64, b: u64) -> u64 {
     canon61(s)
 }
 
+/// Largest magnitude whose inverse [`Fp::small_inv`] reads from a table.
+///
+/// Sketch cells hold sums of small stream deltas, so the total weight `W`
+/// of a one-sparse cell — the value the peeling decoder inverts — is a
+/// small signed integer on every simple or lightly weighted stream.
+pub const SMALL_INV_BOUND: u64 = 256;
+
+/// `SMALL_INV[w] = w^-1` for `1 <= w <= SMALL_INV_BOUND` (entry 0 unused).
+const SMALL_INV: [u64; SMALL_INV_BOUND as usize + 1] = small_inv_table();
+
+/// Builds [`SMALL_INV`] at compile time with the linear-time recurrence
+/// `w^-1 = -(P / w) * (P mod w)^-1`: from `P = (P / w) * w + P mod w`,
+/// `(P / w) * w = -(P mod w)`, and `P mod w < w` is nonzero since `P` is
+/// prime, so every entry only needs an earlier one.
+const fn small_inv_table() -> [u64; SMALL_INV_BOUND as usize + 1] {
+    let mut table = [0u64; SMALL_INV_BOUND as usize + 1];
+    table[1] = 1;
+    let mut w = 2;
+    while w <= SMALL_INV_BOUND as usize {
+        let q = P / w as u64;
+        let r = (P % w as u64) as usize;
+        let prod = ((q as u128 * table[r] as u128) % P as u128) as u64;
+        table[w] = if prod == 0 { 0 } else { P - prod };
+        w += 1;
+    }
+    table
+}
+
 /// An element of `F_p` in canonical form (`0 <= value < P`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fp(u64);
@@ -263,36 +291,34 @@ impl Fp {
         }
     }
 
-    /// Lazy-reduction accumulation `acc[i] += src[i]` over plain `u128`
-    /// accumulators, deferring the modular reduction to
-    /// [`Fp::reduce_batch`].
+    /// Lazy-reduction accumulation `acc[i] += Σ_k srcs[k][i]` over plain
+    /// `u128` accumulators, deferring the modular reduction to
+    /// [`Fp::reduce_u128`].
     ///
     /// Canonical values are `< 2^61`, so a `u128` accumulator absorbs more
     /// than `2^67` summands before overflow — far beyond any sketch fan-in
-    /// (the widest sum in this workspace folds one sampler per vertex).
-    /// Summing n slices this way and reducing once costs one integer add
-    /// per cell per slice instead of an add plus a conditional subtract,
-    /// and the final [`Fp::reduce_batch`] makes the result bit-identical
-    /// to a chain of canonical [`Fp::add`]s.
+    /// (the widest sum in this workspace folds one sampler per vertex) —
+    /// and up to eight of them sum below `2^64`, so each cell takes one
+    /// `u64` sum and one widening add per call. Reading `K` slices per
+    /// pass keeps `K` memory streams in flight, which is what the decode
+    /// engine's fold of scattered per-vertex tables is bound by. Reducing
+    /// once at the end makes the result bit-identical to a chain of
+    /// canonical [`Fp::add`]s.
     ///
     /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn accumulate_batch(acc: &mut [u128], src: &[Fp]) {
-        assert_eq!(acc.len(), src.len(), "accumulate_batch length mismatch");
-        const LANES: usize = 8;
-        let mut chunks = acc.chunks_exact_mut(LANES);
-        let mut schunks = src.chunks_exact(LANES);
-        for (ac, sc) in (&mut chunks).zip(&mut schunks) {
-            for i in 0..LANES {
-                ac[i] += sc[i].0 as u128;
-            }
+    /// Panics if a slice's length differs from `acc`'s; `K > 8` does not
+    /// compile.
+    pub fn accumulate_batch<const K: usize>(acc: &mut [u128], srcs: [&[Fp]; K]) {
+        const { assert!(K <= 8, "at most eight canonical values fit a u64 sum") };
+        for src in &srcs {
+            assert_eq!(acc.len(), src.len(), "accumulate_batch length mismatch");
         }
-        for (a, &s) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(schunks.remainder().iter())
-        {
-            *a += s.0 as u128;
+        for (i, a) in acc.iter_mut().enumerate() {
+            let mut sum = 0u64;
+            for src in &srcs {
+                sum += src[i].0;
+            }
+            *a += sum as u128;
         }
     }
 
@@ -311,18 +337,6 @@ impl Fp {
         }
         let r = v as u64;
         Fp(if r >= P { r - P } else { r })
-    }
-
-    /// Reduces a slice of lazy accumulators into canonical elements:
-    /// `out[i] = reduce(acc[i])` via [`Fp::reduce_u128`].
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn reduce_batch(out: &mut [Fp], acc: &[u128]) {
-        assert_eq!(out.len(), acc.len(), "reduce_batch length mismatch");
-        for (o, &a) in out.iter_mut().zip(acc.iter()) {
-            *o = Fp::reduce_u128(a);
-        }
     }
 
     /// In-place batch inversion (Montgomery's trick): replaces every
@@ -375,6 +389,25 @@ impl Fp {
     pub fn inv(self) -> Fp {
         assert!(!self.is_zero(), "attempted to invert Fp::ZERO");
         self.pow(P - 2)
+    }
+
+    /// The inverse of a small signed element, read from a compile-time
+    /// table: `Some(self.inv())` when the element's small signed value
+    /// (see [`to_i64`](Self::to_i64)) is nonzero with magnitude at most
+    /// [`SMALL_INV_BOUND`], `None` otherwise (zero included). Inverses are
+    /// unique, so a table hit equals the Fermat inverse exactly, and
+    /// `(-w)^-1 = -(w^-1)` covers the negative half.
+    #[inline]
+    pub fn small_inv(self) -> Option<Fp> {
+        if self.0 == 0 {
+            None
+        } else if self.0 <= SMALL_INV_BOUND {
+            Some(Fp(SMALL_INV[self.0 as usize]))
+        } else if P - self.0 <= SMALL_INV_BOUND {
+            Some(Fp(SMALL_INV[(P - self.0) as usize]).neg())
+        } else {
+            None
+        }
     }
 
     /// `self / rhs`; panics if `rhs` is zero.
@@ -507,6 +540,21 @@ mod tests {
         for v in [1u64, 2, 3, 1000, P - 1, 1 << 60] {
             let x = Fp::new(v);
             assert_eq!(x.mul(x.inv()), Fp::ONE, "v = {v}");
+        }
+    }
+
+    #[test]
+    fn small_inverse_table_matches_fermat() {
+        for w in 1..=SMALL_INV_BOUND as i64 {
+            for v in [w, -w] {
+                let x = Fp::from_i64(v);
+                assert_eq!(x.small_inv(), Some(x.inv()), "w = {v}");
+            }
+        }
+        // Outside the bound (either sign) and zero fall back to the caller.
+        let past = SMALL_INV_BOUND as i64 + 1;
+        for v in [0, past, -past, 1 << 40, -(1 << 40)] {
+            assert_eq!(Fp::from_i64(v).small_inv(), None, "w = {v}");
         }
     }
 
@@ -668,22 +716,48 @@ mod tests {
     fn lazy_accumulation_matches_chained_adds() {
         let mut rng = StdRng::seed_from_u64(0xFA);
         for len in [1usize, 7, 8, 33] {
-            for terms in [1usize, 2, 5, 64] {
+            for terms in [1usize, 2, 5, 13, 64] {
                 let slices: Vec<Vec<Fp>> = (0..terms)
                     .map(|_| (0..len).map(|_| rand_fp(&mut rng)).collect())
                     .collect();
+                // One, four and eight slices per pass, as the fold uses.
                 let mut acc = vec![0u128; len];
-                for s in &slices {
-                    Fp::accumulate_batch(&mut acc, s);
+                let mut rest = &slices[..];
+                while !rest.is_empty() {
+                    rest = match rest {
+                        [a, b, c, d, e, f, g, h, tail @ ..] => {
+                            Fp::accumulate_batch(
+                                &mut acc,
+                                [a, b, c, d, e, f, g, h].map(|v| &v[..]),
+                            );
+                            tail
+                        }
+                        [a, b, c, d, tail @ ..] => {
+                            Fp::accumulate_batch(&mut acc, [a, b, c, d].map(|v| &v[..]));
+                            tail
+                        }
+                        [a, tail @ ..] => {
+                            Fp::accumulate_batch(&mut acc, [&a[..]]);
+                            tail
+                        }
+                        [] => unreachable!(),
+                    };
                 }
-                let mut out = vec![Fp::ZERO; len];
-                Fp::reduce_batch(&mut out, &acc);
                 for i in 0..len {
                     let chained = slices.iter().fold(Fp::ZERO, |a, s| a.add(s[i]));
-                    assert_eq!(out[i], chained, "len {len}, terms {terms}, lane {i}");
+                    let lazy = Fp::reduce_u128(acc[i]);
+                    assert_eq!(lazy, chained, "len {len}, terms {terms}, lane {i}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn eight_way_accumulation_of_the_largest_value_cannot_overflow() {
+        let top = [Fp::new(P - 1); 3];
+        let mut acc = [0u128; 3];
+        Fp::accumulate_batch(&mut acc, [&top[..]; 8]);
+        assert_eq!(Fp::reduce_u128(acc[0]), Fp::new(P - 1).mul(Fp::new(8)));
     }
 
     #[test]

@@ -68,12 +68,13 @@ impl KWiseHash {
     /// Hash reduced to a bucket index in `[0, buckets)`.
     ///
     /// Uses the multiply-shift style reduction `(h * buckets) / P` to avoid
-    /// modulo bias against small bucket counts.
+    /// modulo bias against small bucket counts, computed without a 128-bit
+    /// division (see `fast_bucket`) — the peeling decoder calls this once
+    /// per row for every coordinate it subtracts.
     #[inline]
     pub fn bucket(&self, key: u64, buckets: usize) -> usize {
         debug_assert!(buckets > 0);
-        let h = self.eval(key).value() as u128;
-        ((h * buckets as u128) / P as u128) as usize
+        fast_bucket(self.eval(key).value(), buckets)
     }
 
     /// Evaluates the hash at every key in `keys`, writing into `out`.
@@ -477,6 +478,20 @@ mod tests {
                     h.bucket(key, buckets),
                     "buckets {buckets}, key {key}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_bucket_equals_the_128_bit_division() {
+        use crate::prng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB0C);
+        let extremes = [0u64, 1, 2, P / 2, P / 2 + 1, P - 2, P - 1];
+        let random = (0..2000).map(|_| rng.gen_range(0..P));
+        for h in extremes.into_iter().chain(random) {
+            for buckets in [1usize, 2, 3, 7, 16, 17, 64, 1024, 1 << 20] {
+                let want = ((h as u128 * buckets as u128) / P as u128) as usize;
+                assert_eq!(fast_bucket(h, buckets), want, "h {h}, buckets {buckets}");
             }
         }
     }

@@ -11,6 +11,8 @@
 //! for repeated use, a *deterministic function of the net vector and the
 //! seed*.
 
+use std::time::Instant;
+
 use dgs_field::{Fp, SeedTree, UniformHash};
 use dgs_obs::{Counter, Histogram, MetricsSink};
 
@@ -446,82 +448,10 @@ impl L0Sampler {
         self.levels.iter().all(|l| l.is_zero())
     }
 
-    /// Flat length of the sampler's linear state: every level's `[W | S |
-    /// F]` tables concatenated in level order. This is the arena stride
-    /// used by the borrowed-state decode engine in `dgs-connectivity`.
+    /// Flat length of the sampler's linear state: every level's `W`, `S`
+    /// and `F` tables. Ingest sizes its cache-resident sub-chunks by it.
     pub fn state_len(&self) -> usize {
         self.levels.iter().map(|l| l.state_len()).sum()
-    }
-
-    /// Copies the sampler's linear state into `dst`, level by level.
-    ///
-    /// # Panics
-    /// Panics if `dst.len() != self.state_len()`.
-    pub fn copy_state_into(&self, dst: &mut [Fp]) {
-        assert_eq!(
-            dst.len(),
-            self.state_len(),
-            "copy_state_into length mismatch"
-        );
-        let mut off = 0;
-        for level in &self.levels {
-            let len = level.state_len();
-            level.copy_state_into(&mut dst[off..off + len]);
-            off += len;
-        }
-    }
-
-    /// Adds the sampler's linear state into lazy `u128` accumulators (same
-    /// layout as [`copy_state_into`](Self::copy_state_into)). Summing
-    /// same-seeded samplers this way and reducing once per cell is exactly
-    /// the repeated [`add_assign_sketch`](Self::add_assign_sketch) sum —
-    /// the field addition is exact — without materialising intermediate
-    /// samplers.
-    ///
-    /// # Panics
-    /// Panics if `acc.len() != self.state_len()`.
-    pub fn accumulate_state(&self, acc: &mut [u128]) {
-        assert_eq!(
-            acc.len(),
-            self.state_len(),
-            "accumulate_state length mismatch"
-        );
-        let mut off = 0;
-        for level in &self.levels {
-            let len = level.state_len();
-            level.accumulate_state(&mut acc[off..off + len]);
-            off += len;
-        }
-    }
-
-    /// Flat length of the populated prefix of the linear state: the state
-    /// of levels `0..touched`. Everything past it is identically zero (see
-    /// the `touched` invariant), so a fold over just this prefix plus a
-    /// zero fill of the tail reconstructs the full state exactly.
-    pub fn touched_state_len(&self) -> usize {
-        self.levels[..self.touched]
-            .iter()
-            .map(|l| l.state_len())
-            .sum()
-    }
-
-    /// [`accumulate_state`](Self::accumulate_state) restricted to the
-    /// populated level prefix; returns the number of accumulators written
-    /// ([`touched_state_len`](Self::touched_state_len)). Adding zero is
-    /// the identity, so skipping the zero suffix leaves the accumulated
-    /// sum bit-identical to the full-state fold — this is the decode
-    /// engine's aggregation fast path.
-    ///
-    /// # Panics
-    /// Panics if `acc` is shorter than the populated prefix.
-    pub fn accumulate_state_touched(&self, acc: &mut [u128]) -> usize {
-        let mut off = 0;
-        for level in &self.levels[..self.touched] {
-            let len = level.state_len();
-            level.accumulate_state(&mut acc[off..off + len]);
-            off += len;
-        }
-        off
     }
 
     /// Samples a nonzero coordinate of the net vector.
@@ -539,22 +469,88 @@ impl L0Sampler {
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn sample(&self) -> SketchResult<Option<(u64, i64)>> {
         // Span on the convenience entry only: the decode engine's
-        // per-component fast paths (`sample_with`/`sample_state`) run at
-        // too high a volume to record one event each.
+        // per-component path (`sample_sum`) runs at too high a volume to
+        // record one event each.
         let _span = dgs_trace::child("dgs_sketch_l0_sample");
         let mut scratch = PeelScratch::default();
         self.sample_with(&mut scratch)
     }
 
     /// [`sample`](Self::sample) with a caller-owned reusable scratch —
-    /// allocation-free in steady state. This is the decode engine's fast
-    /// path for singleton components: the sampler's own cells are peeled
-    /// in place of an arena copy, with outcomes identical to
-    /// [`sample_state`](Self::sample_state) on a copy of this sampler's
-    /// state (both decoders read the same `(W, S, F)` values).
+    /// allocation-free in steady state: [`sample_sum`](Self::sample_sum)
+    /// over just this sampler.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn sample_with(&self, scratch: &mut PeelScratch) -> SketchResult<Option<(u64, i64)>> {
-        self.sample_via(|_, level, s| level.decode_into(s), scratch)
+        self.sample_sum(std::iter::once(self), scratch)
+    }
+
+    /// Samples the cell-wise sum of `parts` — same-seeded samplers, `self`
+    /// among them or not — using this sampler's seeds as the template,
+    /// without materialising the sum: the decode engine's path for every
+    /// component (a singleton is the one-part sum, whose levels are
+    /// copied rather than summed).
+    ///
+    /// Level `j` of the sum is folded only when the level walk reaches it,
+    /// so the levels above the one that decodes are never read, and a
+    /// part whose `touched` watermark is at or below `j` holds zero there
+    /// and is skipped. The folded level lives in `scratch` (one level's
+    /// cells, lazy `u128` sums reduced once per cell), and the time spent
+    /// folding is added to [`PeelScratch::take_fold_ns`].
+    ///
+    /// Outcomes follow the rules documented on [`sample`](Self::sample)
+    /// and equal `sample` on the summed sampler built by repeated
+    /// [`add_assign_sketch`](Self::add_assign_sketch), because field
+    /// addition is exact and every decision is a function of the summed
+    /// cells. A part that fails [`check_compatible`](Self::check_compatible)
+    /// against `self` is [`SketchError::InvalidInput`] before anything is
+    /// sampled; a part whose level shapes differ is the same error when
+    /// its level is folded.
+    #[must_use = "a dropped SketchResult hides a sketch failure"]
+    pub fn sample_sum<'a, I>(
+        &self,
+        parts: I,
+        scratch: &mut PeelScratch,
+    ) -> SketchResult<Option<(u64, i64)>>
+    where
+        I: Iterator<Item = &'a L0Sampler> + Clone,
+    {
+        for part in parts.clone() {
+            self.check_compatible(part)?;
+        }
+        self.metrics.sample_attempts.inc();
+        for (j, level) in self.levels.iter().enumerate() {
+            let t = Instant::now();
+            let loaded = level.load_sum(
+                parts
+                    .clone()
+                    .filter(|p| p.touched > j)
+                    .map(|p| &p.levels[j]),
+                scratch,
+            );
+            scratch.add_fold_ns(t.elapsed().as_nanos() as u64);
+            loaded?;
+            if !level.peel(scratch) {
+                continue; // too dense at this level; subsample more
+            }
+            if scratch.recovered.is_empty() {
+                if j == 0 {
+                    self.metrics.sample_successes.inc();
+                    return Ok(None);
+                }
+                self.metrics.sample_failures.inc();
+                return Err(SketchError::failure(
+                    "l0-sampler",
+                    format!("level {j} empty but levels 0..{j} undecodable"),
+                ));
+            }
+            self.metrics.sample_successes.inc();
+            return Ok(self.min_wise(&scratch.recovered));
+        }
+        self.metrics.sample_failures.inc();
+        Err(SketchError::failure(
+            "l0-sampler",
+            format!("all {} levels undecodable", self.levels.len()),
+        ))
     }
 
     /// [`sample`](Self::sample) running each level through the historical
@@ -596,78 +592,18 @@ impl L0Sampler {
         ))
     }
 
-    /// Samples from borrowed linear state (layout as
-    /// [`copy_state_into`](Self::copy_state_into)) using this sampler's
-    /// seeds as the template — the decode-arena path: a component's
-    /// summed state is sampled without ever materialising a summed
-    /// `L0Sampler`. Valid only for state accumulated from samplers that
-    /// pass [`check_compatible`](Self::check_compatible) against `self`;
-    /// the caller owns that check. Outcomes (sample choice, certified
-    /// zero, failure classification) are identical to [`sample`]
-    /// (Self::sample) on a sampler holding the same state, and a reused
-    /// `scratch` makes the call allocation-free in steady state.
-    ///
-    /// # Panics
-    /// Panics if `state.len() != self.state_len()`.
-    pub fn sample_state(
-        &self,
-        state: &[Fp],
-        scratch: &mut PeelScratch,
-    ) -> SketchResult<Option<(u64, i64)>> {
-        assert_eq!(
-            state.len(),
-            self.state_len(),
-            "sample_state length mismatch"
-        );
-        let mut off = 0usize;
-        self.sample_via(
-            move |_, level, s| {
-                let len = level.state_len();
-                let ok = level.decode_state(&state[off..off + len], s);
-                off += len;
-                ok
-            },
-            scratch,
-        )
-    }
-
-    /// Shared sampling core: walks the levels with a per-level decoder
-    /// that leaves its support in `scratch.recovered`, applying the
-    /// certified-zero / min-wise-choice / failure rules documented on
-    /// [`sample`](Self::sample).
-    fn sample_via(
-        &self,
-        mut decode_level: impl FnMut(usize, &SparseRecovery, &mut PeelScratch) -> bool,
-        scratch: &mut PeelScratch,
-    ) -> SketchResult<Option<(u64, i64)>> {
-        self.metrics.sample_attempts.inc();
-        for (j, level) in self.levels.iter().enumerate() {
-            if !decode_level(j, level, scratch) {
-                continue; // too dense at this level; subsample more
+    /// The recovered item with the smallest level-hash unit value, the
+    /// first such in index order on a tie — exactly `min_by` over
+    /// `unit(a).total_cmp(&unit(b))`, with each unit value hashed once.
+    fn min_wise(&self, support: &[(u64, i64)]) -> Option<(u64, i64)> {
+        let mut best: Option<((u64, i64), f64)> = None;
+        for &item in support {
+            let unit = self.level_hash.unit(item.0);
+            if best.is_none_or(|(_, b)| unit.total_cmp(&b).is_lt()) {
+                best = Some((item, unit));
             }
-            if scratch.recovered.is_empty() {
-                if j == 0 {
-                    self.metrics.sample_successes.inc();
-                    return Ok(None);
-                }
-                self.metrics.sample_failures.inc();
-                return Err(SketchError::failure(
-                    "l0-sampler",
-                    format!("level {j} empty but levels 0..{j} undecodable"),
-                ));
-            }
-            self.metrics.sample_successes.inc();
-            return Ok(scratch.recovered.iter().copied().min_by(|a, b| {
-                self.level_hash
-                    .unit(a.0)
-                    .total_cmp(&self.level_hash.unit(b.0))
-            }));
         }
-        self.metrics.sample_failures.inc();
-        Err(SketchError::failure(
-            "l0-sampler",
-            format!("all {} levels undecodable", self.levels.len()),
-        ))
+        best.map(|(item, _)| item)
     }
 
     /// Exact full-support recovery when the net vector has at most
@@ -766,11 +702,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_state_matches_sample_on_summed_samplers() {
-        // Accumulating same-seeded player shares into a u128 arena and
-        // sampling the reduced state must agree exactly with summing the
-        // samplers via add_assign_sketch and calling sample() — across
-        // zero, sparse, dense, and cancelled vectors.
+    fn sample_sum_matches_sample_on_summed_samplers() {
+        // Folding same-seeded player shares level by level and sampling
+        // the fold must agree exactly with summing the samplers via
+        // add_assign_sketch and calling sample() — across zero, sparse,
+        // dense, and cancelled vectors, and with shares whose touched
+        // watermarks differ.
         let mut rng = StdRng::seed_from_u64(0xE19);
         let mut scratch = PeelScratch::default();
         for trial in 0..20 {
@@ -787,35 +724,49 @@ mod tests {
             for share in &shares[1..] {
                 summed.add_assign_sketch(share).unwrap();
             }
-            let template = &shares[0];
-            let mut acc = vec![0u128; template.state_len()];
-            for share in &shares {
-                template.check_compatible(share).unwrap();
-                share.accumulate_state(&mut acc);
+            // Every level's fold equals the materialised sum cell for cell.
+            for (j, level) in summed.levels.iter().enumerate() {
+                level
+                    .load_sum(
+                        shares
+                            .iter()
+                            .filter(|p| p.touched > j)
+                            .map(|p| &p.levels[j]),
+                        &mut scratch,
+                    )
+                    .unwrap();
+                let folded = scratch.work.clone();
+                let mut direct = PeelScratch::default();
+                level.load_sum(std::iter::once(level), &mut direct).unwrap();
+                assert_eq!(
+                    folded, direct.work,
+                    "trial {trial} level {j}: fold diverged"
+                );
             }
-            let mut state = vec![Fp::ZERO; template.state_len()];
-            Fp::reduce_batch(&mut state, &acc);
-            // The reduced arena equals the materialised sum bit for bit.
-            let mut direct = vec![Fp::ZERO; template.state_len()];
-            summed.copy_state_into(&mut direct);
-            assert_eq!(state, direct, "trial {trial}: arena sum diverged");
-            let via_state = template.sample_state(&state, &mut scratch);
-            let via_sum = summed.sample();
+            let template = &shares[shares.len() - 1];
+            let via_sum = template.sample_sum(shares.iter(), &mut scratch);
+            let via_sample = summed.sample();
             let via_legacy = summed.sample_legacy();
-            for (name, got) in [("sample", &via_sum), ("sample_legacy", &via_legacy)] {
-                match (&via_state, got) {
+            for (name, got) in [("sample", &via_sample), ("sample_legacy", &via_legacy)] {
+                match (&via_sum, got) {
                     (Ok(a), Ok(b)) => assert_eq!(a, b, "trial {trial} vs {name}"),
-                    (Err(a), Err(b)) => {
-                        assert_eq!(
-                            a.is_retryable(),
-                            b.is_retryable(),
-                            "trial {trial} vs {name}"
-                        )
-                    }
+                    (Err(a), Err(b)) => assert_eq!(
+                        (a.is_retryable(), a.to_string()),
+                        (b.is_retryable(), b.to_string()),
+                        "trial {trial} vs {name}"
+                    ),
                     (a, b) => panic!("trial {trial}: outcomes diverged vs {name}: {a:?} vs {b:?}"),
                 }
             }
         }
+    }
+
+    #[test]
+    fn sample_sum_rejects_foreign_parts() {
+        let a = sampler(46);
+        let b = sampler(47);
+        let err = a.sample_sum([&a, &b].into_iter(), &mut PeelScratch::default());
+        assert!(matches!(err, Err(ref e) if !e.is_retryable()), "{err:?}");
     }
 
     #[test]

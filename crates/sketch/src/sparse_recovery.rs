@@ -22,7 +22,7 @@
 //! a sentinel marker, while decoding still accepts the original
 //! array-of-`OneSparse` layout.
 
-use dgs_field::{Fingerprinter, Fp, KWiseHash, SeedTree};
+use dgs_field::{Fingerprinter, Fp, KWiseHash, PowTable, SeedTree};
 use dgs_obs::{Counter, Histogram, MetricsSink};
 
 use crate::error::{SketchError, SketchResult};
@@ -65,16 +65,22 @@ impl SparseMetrics {
     }
 }
 
-/// Reusable peeling scratch for [`SparseRecovery::decode_state`].
+/// Reusable peeling scratch for [`SparseRecovery`] decodes and the
+/// ℓ0-sampler walks built on them.
 ///
-/// Holds the working copy of the cells, the per-pass candidate list with
-/// its batch-inverted weights, and the recovered support. All buffers are
-/// cleared (never shrunk) between uses, so one scratch reused across many
-/// decodes allocates only until the high-water mark is reached.
+/// Holds one level's working cells, the lazy `u128` sums that load a
+/// component's level into them, the per-cell classification cache with
+/// its weight inverses, the power table of the last fingerprint point
+/// verified against, and the recovered support. Buffers are cleared
+/// (never shrunk) between uses, so one scratch reused across many decodes
+/// allocates only until the high-water mark is reached, and that mark is
+/// one level's cells however many levels or samplers it serves.
 #[derive(Clone, Debug, Default)]
 pub struct PeelScratch {
     /// Working cells being drained by the current peel.
-    work: Vec<OneSparse>,
+    pub(crate) work: Vec<OneSparse>,
+    /// Lazy `[W | S | F]` sums of the parts being loaded into `work`.
+    acc: Vec<u128>,
     /// Per-cell classification cache, current for untouched cells.
     cls: Vec<Cls>,
     /// Per-cell inverse of the total weight `W`; fresh whenever the cell's
@@ -86,8 +92,60 @@ pub struct PeelScratch {
     winv: Vec<Fp>,
     /// Prefix products for [`Fp::inv_batch`].
     prefix: Vec<Fp>,
+    /// Powers of the fingerprint point last verified against. Every
+    /// sampler of one seed family shares its per-level points, so one
+    /// table serves a whole Borůvka round's samples of a level; it is
+    /// rebuilt only when the point changes.
+    pows: Option<PowTable>,
+    /// Nanoseconds spent loading summed levels since the last
+    /// [`take_fold_ns`](Self::take_fold_ns).
+    fold_ns: u64,
     /// Support recovered by the last successful peel, sorted by index.
     pub recovered: Vec<(u64, i64)>,
+}
+
+impl PeelScratch {
+    /// Returns and resets the time spent folding component levels
+    /// ([`L0Sampler::sample_sum`](crate::L0Sampler::sample_sum)) since the
+    /// previous call. Peeling is not included.
+    pub fn take_fold_ns(&mut self) -> u64 {
+        std::mem::take(&mut self.fold_ns)
+    }
+
+    /// Adds `ns` of folding time (see [`take_fold_ns`](Self::take_fold_ns)).
+    pub(crate) fn add_fold_ns(&mut self, ns: u64) {
+        self.fold_ns += ns;
+    }
+}
+
+/// Adds the `[W | S | F]` tables of the first `K` of `parts` into the
+/// `3n` accumulators `acc`, one pass per table reading all `K` parts
+/// ([`Fp::accumulate_batch`]); returns the parts left over.
+fn accumulate_parts<'p, 'a, const K: usize>(
+    acc: &mut [u128],
+    n: usize,
+    parts: &'p [&'a SparseRecovery],
+) -> &'p [&'a SparseRecovery] {
+    let (mine, rest) = parts.split_at(K);
+    let mine: [&SparseRecovery; K] = std::array::from_fn(|k| mine[k]);
+    Fp::accumulate_batch(&mut acc[..n], mine.map(|p| &p.w[..]));
+    Fp::accumulate_batch(&mut acc[n..2 * n], mine.map(|p| &p.s[..]));
+    Fp::accumulate_batch(&mut acc[2 * n..], mine.map(|p| &p.f[..]));
+    rest
+}
+
+/// The weight inverse of a candidate cell: from the compile-time table
+/// when `|W|` is small (every simple stream), else queued for the next
+/// [`Fp::inv_batch`] — weighted multigraph streams reach this fallback.
+#[inline]
+fn queue_inverse(i: usize, w: Fp, cell_winv: &mut [Fp], cand: &mut Vec<u32>, winv: &mut Vec<Fp>) {
+    match w.small_inv() {
+        Some(inv) => cell_winv[i] = inv,
+        None => {
+            cand.push(i as u32);
+            winv.push(w);
+        }
+    }
 }
 
 /// Cached one-sparse classification of a working cell. There is no cached
@@ -270,38 +328,9 @@ impl SparseRecovery {
     }
 
     /// Flat length of this structure's linear state: the three `rows x
-    /// cols` tables laid out `[W | S | F]`. This is the unit of transfer
-    /// for the borrowed-state decode path ([`copy_state_into`]
-    /// (Self::copy_state_into) / [`accumulate_state`]
-    /// (Self::accumulate_state) / [`decode_state`](Self::decode_state)).
+    /// cols` tables `W`, `S` and `F`.
     pub fn state_len(&self) -> usize {
         3 * self.w.len()
-    }
-
-    /// Copies the linear state into `dst` in `[W | S | F]` order.
-    ///
-    /// # Panics
-    /// Panics if `dst.len() != self.state_len()`.
-    pub fn copy_state_into(&self, dst: &mut [Fp]) {
-        let n = self.w.len();
-        assert_eq!(dst.len(), 3 * n, "copy_state_into length mismatch");
-        dst[..n].copy_from_slice(&self.w);
-        dst[n..2 * n].copy_from_slice(&self.s);
-        dst[2 * n..].copy_from_slice(&self.f);
-    }
-
-    /// Adds the linear state into lazy `u128` accumulators (same `[W | S
-    /// | F]` layout) via [`Fp::accumulate_batch`]; reduce once with
-    /// [`Fp::reduce_batch`] when the component sum is complete.
-    ///
-    /// # Panics
-    /// Panics if `acc.len() != self.state_len()`.
-    pub fn accumulate_state(&self, acc: &mut [u128]) {
-        let n = self.w.len();
-        assert_eq!(acc.len(), 3 * n, "accumulate_state length mismatch");
-        Fp::accumulate_batch(&mut acc[..n], &self.w);
-        Fp::accumulate_batch(&mut acc[n..2 * n], &self.s);
-        Fp::accumulate_batch(&mut acc[2 * n..], &self.f);
     }
 
     /// True iff every cell is zero (the net vector hashes to nothing).
@@ -311,10 +340,13 @@ impl SparseRecovery {
             && self.f.iter().all(|x| x.is_zero())
     }
 
-    /// The cell at flat position `i`, reassembled from the level tables.
-    #[inline]
-    fn cell(&self, i: usize) -> OneSparse {
-        OneSparse::from_parts(self.w[i], self.s[i], self.f[i])
+    /// The cells in flat order, reassembled from the level tables.
+    fn cells(&self) -> impl Iterator<Item = OneSparse> + '_ {
+        self.w
+            .iter()
+            .zip(&self.s)
+            .zip(&self.f)
+            .map(|((&w, &s), &f)| OneSparse::from_parts(w, s, f))
     }
 
     /// Attempts exact support recovery by peeling. Returns `Some(support)`
@@ -335,29 +367,70 @@ impl SparseRecovery {
     /// returns `true` with the sorted support left in `scratch.recovered`.
     pub fn decode_into(&self, scratch: &mut PeelScratch) -> bool {
         scratch.work.clear();
-        scratch.work.extend((0..self.w.len()).map(|i| self.cell(i)));
+        scratch.work.extend(self.cells());
         self.peel(scratch)
     }
 
-    /// Peels borrowed `[W | S | F]` state — e.g. a component sum living in
-    /// a decode arena — using this structure's hashes and fingerprinter as
-    /// the seed template. Valid only for state accumulated from structures
-    /// compatible with `self` (same seeds and shape); the caller owns that
-    /// check. On success returns `true` with the sorted support left in
-    /// `scratch.recovered`; classification decisions are identical to
-    /// [`decode`](Self::decode) on a structure holding the same state, and
-    /// a reused `scratch` makes the call allocation-free in steady state.
+    /// Loads the cell-wise sum of `parts` into the scratch's working
+    /// cells. `parts` must be drawn from `self`'s seeds (the caller checks
+    /// the seed family); a part of another shape is
+    /// [`SketchError::InvalidInput`], as in
+    /// [`add_assign_sketch`](Self::add_assign_sketch).
     ///
-    /// # Panics
-    /// Panics if `state.len() != self.state_len()`.
-    pub fn decode_state(&self, state: &[Fp], scratch: &mut PeelScratch) -> bool {
+    /// No part leaves the cells zero and one part is copied as is, so
+    /// [`decode_into`](Self::decode_into) is the one-part case. More parts
+    /// are summed in lazy `u128` accumulators and reduced once per cell;
+    /// field addition is exact, so the loaded cells equal the repeated
+    /// `add_assign_sketch` sum bit for bit.
+    pub(crate) fn load_sum<'a>(
+        &self,
+        mut parts: impl Iterator<Item = &'a SparseRecovery>,
+        scratch: &mut PeelScratch,
+    ) -> SketchResult<()> {
         let n = self.w.len();
-        assert_eq!(state.len(), 3 * n, "decode_state length mismatch");
         scratch.work.clear();
-        scratch.work.extend(
-            (0..n).map(|i| OneSparse::from_parts(state[i], state[n + i], state[2 * n + i])),
-        );
-        self.peel(scratch)
+        let Some(first) = parts.next() else {
+            scratch.work.resize(n, OneSparse::new());
+            return Ok(());
+        };
+        self.check_compatible(first)?;
+        let Some(second) = parts.next() else {
+            scratch.work.extend(first.cells());
+            return Ok(());
+        };
+        let acc = &mut scratch.acc;
+        acc.clear();
+        acc.resize(3 * n, 0);
+        // Up to eight parts per pass: the member levels are small scattered
+        // allocations, so reading several at once keeps more cache-line
+        // streams in flight than one at a time.
+        let mut group = [first; 8];
+        let mut held = 0;
+        for part in [first, second].into_iter().chain(parts) {
+            self.check_compatible(part)?;
+            group[held] = part;
+            held += 1;
+            if held == group.len() {
+                accumulate_parts::<8>(acc, n, &group);
+                held = 0;
+            }
+        }
+        let mut rest = &group[..held];
+        while !rest.is_empty() {
+            rest = match rest.len() {
+                4.. => accumulate_parts::<4>(acc, n, rest),
+                2 | 3 => accumulate_parts::<2>(acc, n, rest),
+                _ => accumulate_parts::<1>(acc, n, rest),
+            };
+        }
+        let (w, sf) = acc.split_at(n);
+        let (s, f) = sf.split_at(n);
+        scratch
+            .work
+            .extend(w.iter().zip(s).zip(f).map(|((&w, &s), &f)| {
+                OneSparse::from_parts(Fp::reduce_u128(w), Fp::reduce_u128(s), Fp::reduce_u128(f))
+            }));
+        Ok(())
     }
 
     /// The historical peeling loop, kept verbatim as the sequential
@@ -370,7 +443,7 @@ impl SparseRecovery {
     /// support is bit-identical to [`decode`](Self::decode).
     pub fn decode_legacy(&self) -> Option<Vec<(u64, i64)>> {
         self.metrics.decode_attempts.inc();
-        let mut work: Vec<OneSparse> = (0..self.w.len()).map(|i| self.cell(i)).collect();
+        let mut work: Vec<OneSparse> = self.cells().collect();
         let mut recovered: Vec<(u64, i64)> = Vec::new();
         // Each peel removes one coordinate; s+1 coordinates can never drain.
         let max_peels = self.sparsity * 2 + 2;
@@ -432,10 +505,18 @@ impl SparseRecovery {
     /// scratch each pass. This core removes each of those costs without
     /// changing a single classification decision:
     ///
-    /// * **Batched inverses** — every candidate `W` is inverted once up
-    ///   front with one Montgomery batch inversion ([`Fp::inv_batch`]) and
-    ///   cached per cell; after a subtraction only the `rows` touched
-    ///   cells are re-inverted (another tiny batch).
+    /// * **Table inverses** — a candidate whose total weight has `|W| <=`
+    ///   [`SMALL_INV_BOUND`](dgs_field::fp61::SMALL_INV_BOUND) (every cell
+    ///   of a simple stream) takes `W^-1` from [`Fp::small_inv`]'s
+    ///   compile-time table. Larger weights, as weighted multigraph
+    ///   streams produce, are inverted with one Montgomery batch
+    ///   ([`Fp::inv_batch`]) per pass. Either way the inverse is cached per
+    ///   cell, and after a subtraction only the `rows` touched cells are
+    ///   re-inverted.
+    /// * **Table powers** — verification reads `z^index` from a windowed
+    ///   [`PowTable`] of the level's fingerprint point, kept in the scratch
+    ///   and rebuilt only when the point changes, instead of a
+    ///   square-and-multiply ladder per candidate.
     /// * **Lazy, cached classification** — cells are still scanned in
     ///   order and the pass still takes the *first* cell that verifies
     ///   (the historical choice rule), but a cell examined once keeps its
@@ -450,49 +531,66 @@ impl SparseRecovery {
     ///   overhead.
     ///
     /// Classification is a pure function of a cell's current `(W, S, F)`
-    /// state and field inverses are unique, so the decoded support is
-    /// bit-identical to [`decode_legacy`](Self::decode_legacy).
-    fn peel(&self, scratch: &mut PeelScratch) -> bool {
+    /// state, field inverses are unique and table powers equal `z.pow`, so
+    /// the decoded support is bit-identical to
+    /// [`decode_legacy`](Self::decode_legacy).
+    pub(crate) fn peel(&self, scratch: &mut PeelScratch) -> bool {
         self.metrics.decode_attempts.inc();
-        scratch.recovered.clear();
+        let PeelScratch {
+            work,
+            cls,
+            cell_winv,
+            cand,
+            winv,
+            prefix,
+            pows,
+            recovered,
+            ..
+        } = scratch;
+        recovered.clear();
         // Each peel removes one coordinate; s+1 coordinates can never drain.
         let max_peels = self.sparsity * 2 + 2;
-        let ncells = scratch.work.len();
-        scratch.cls.clear();
-        scratch.cls.resize(ncells, Cls::Unknown);
-        scratch.cell_winv.clear();
-        scratch.cell_winv.resize(ncells, Fp::ZERO);
+        let ncells = work.len();
+        cls.clear();
+        cls.resize(ncells, Cls::Unknown);
+        cell_winv.clear();
+        cell_winv.resize(ncells, Fp::ZERO);
         // Candidates are nonzero cells with nonzero total weight (a zero-W
         // nonzero cell is a collision by definition, as in
-        // `OneSparse::decode`); their inverses are batched here and kept
+        // `OneSparse::decode`); their inverses are fetched here and kept
         // fresh per cell thereafter.
         let mut nonzero = 0usize;
-        scratch.cand.clear();
-        scratch.winv.clear();
-        for (i, c) in scratch.work.iter().enumerate() {
+        cand.clear();
+        winv.clear();
+        for (i, c) in work.iter().enumerate() {
             if c.is_zero() {
-                scratch.cls[i] = Cls::NotOne;
+                cls[i] = Cls::NotOne;
                 continue;
             }
             nonzero += 1;
-            if c.parts().0.is_zero() {
-                scratch.cls[i] = Cls::NotOne;
+            let w = c.parts().0;
+            if w.is_zero() {
+                cls[i] = Cls::NotOne;
             } else {
-                scratch.cand.push(i as u32);
-                scratch.winv.push(c.parts().0);
+                queue_inverse(i, w, cell_winv, cand, winv);
             }
         }
-        Fp::inv_batch(&mut scratch.winv, &mut scratch.prefix);
-        for (k, &i) in scratch.cand.iter().enumerate() {
-            scratch.cell_winv[i as usize] = scratch.winv[k];
+        if nonzero == 0 {
+            self.metrics.decode_successes.inc();
+            return true;
         }
+        Fp::inv_batch(winv, prefix);
+        for (k, &i) in cand.iter().enumerate() {
+            cell_winv[i as usize] = winv[k];
+        }
+        let table = self.pow_table(pows);
         loop {
             if nonzero == 0 {
-                scratch.recovered.sort_unstable();
+                recovered.sort_unstable();
                 self.metrics.decode_successes.inc();
                 return true;
             }
-            if scratch.recovered.len() >= max_peels {
+            if recovered.len() >= max_peels {
                 self.metrics.decode_failures.inc();
                 return false;
             }
@@ -500,14 +598,14 @@ impl SparseRecovery {
             // cached-unknown cells on demand.
             let mut found = None;
             for i in 0..ncells {
-                match scratch.cls[i] {
+                match cls[i] {
                     Cls::NotOne => {}
-                    Cls::Unknown => match self.classify(&scratch.work[i], scratch.cell_winv[i]) {
+                    Cls::Unknown => match self.classify(&work[i], cell_winv[i], table) {
                         Some((index, weight)) => {
                             found = Some((i, index, weight));
                             break;
                         }
-                        None => scratch.cls[i] = Cls::NotOne,
+                        None => cls[i] = Cls::NotOne,
                     },
                 }
             }
@@ -525,44 +623,56 @@ impl SparseRecovery {
             // doubles as the value to subtract from every row (including
             // itself, which it zeroes). Only the touched cells can have
             // changed, so only they are re-inverted and re-examined.
-            let unit = scratch.work[ci];
-            scratch.cand.clear();
-            scratch.winv.clear();
+            let unit = work[ci];
+            cand.clear();
+            winv.clear();
             for (r, h) in self.hashes.iter().enumerate() {
                 let i = r * self.cols + h.bucket(index, self.cols);
-                let was_zero = scratch.work[i].is_zero();
-                scratch.work[i].sub_assign(&unit);
-                let cell = &scratch.work[i];
+                let was_zero = work[i].is_zero();
+                work[i].sub_assign(&unit);
+                let cell = &work[i];
                 match (was_zero, cell.is_zero()) {
                     (false, true) => nonzero -= 1,
                     (true, false) => nonzero += 1,
                     _ => {}
                 }
                 if cell.is_zero() || cell.parts().0.is_zero() {
-                    scratch.cls[i] = Cls::NotOne;
+                    cls[i] = Cls::NotOne;
                 } else {
-                    scratch.cls[i] = Cls::Unknown;
-                    scratch.cand.push(i as u32);
-                    scratch.winv.push(cell.parts().0);
+                    cls[i] = Cls::Unknown;
+                    queue_inverse(i, cell.parts().0, cell_winv, cand, winv);
                 }
             }
-            Fp::inv_batch(&mut scratch.winv, &mut scratch.prefix);
-            for (k, &i) in scratch.cand.iter().enumerate() {
-                scratch.cell_winv[i as usize] = scratch.winv[k];
+            Fp::inv_batch(winv, prefix);
+            for (k, &i) in cand.iter().enumerate() {
+                cell_winv[i as usize] = winv[k];
             }
-            scratch.recovered.push((index, weight));
+            recovered.push((index, weight));
         }
     }
 
+    /// The power table of this structure's fingerprint point over
+    /// `[0, dimension)`, reusing `slot`'s table when it already covers
+    /// that point and range.
+    fn pow_table<'s>(&self, slot: &'s mut Option<PowTable>) -> &'s PowTable {
+        let max = self.dimension.saturating_sub(1);
+        let z = self.fper.point();
+        if !matches!(slot, Some(t) if t.point() == z && t.max_index() >= max) {
+            *slot = None;
+        }
+        slot.get_or_insert_with(|| self.fper.power_table(max))
+    }
+
     /// Classifies one cell given the precomputed inverse of its total
-    /// weight: `Some((index, weight))` iff the cell verifies as one-sparse
-    /// — exactly the `One` arm of [`OneSparse::decode`]. The caller
+    /// weight and the power table of the fingerprint point:
+    /// `Some((index, weight))` iff the cell verifies as one-sparse —
+    /// exactly the `One` arm of [`OneSparse::decode`]. The caller
     /// guarantees the cell is nonzero with nonzero `W`.
     #[inline]
-    fn classify(&self, cell: &OneSparse, winv: Fp) -> Option<(u64, i64)> {
+    fn classify(&self, cell: &OneSparse, winv: Fp, pows: &PowTable) -> Option<(u64, i64)> {
         let (w, s, f) = cell.parts();
         let index = s.mul(winv).value();
-        if index >= self.dimension || self.fper.expected(index, w) != f {
+        if index >= self.dimension || pows.expected(index, w) != f {
             return None; // collision
         }
         Some((index, w.to_i64()))
@@ -584,7 +694,7 @@ impl SparseRecovery {
         w.put_usize(self.sparsity);
         self.fper.encode(w);
         self.hashes.to_vec().encode(w);
-        let cells: Vec<OneSparse> = (0..self.w.len()).map(|i| self.cell(i)).collect();
+        let cells: Vec<OneSparse> = self.cells().collect();
         cells.encode(w);
     }
 }
@@ -744,6 +854,59 @@ mod tests {
             success >= 95,
             "only {success}/{trials} full-sparsity decodes"
         );
+    }
+
+    #[test]
+    fn large_weights_take_the_batch_inverse_fallback() {
+        // Weights past the inverse table's bound (either sign) must peel
+        // through the `Fp::inv_batch` fallback to the same support as the
+        // historical Fermat loop, alone and mixed with table-sized ones.
+        let bound = dgs_field::fp61::SMALL_INV_BOUND as i64;
+        let mut rng = StdRng::seed_from_u64(4);
+        for trial in 0..40 {
+            let mut s = sr(300 + trial, 8);
+            for _ in 0..rng.gen_range(1..12) {
+                let w = *[1, -1, bound, -bound, bound + 1, -(bound + 1), 1 << 20, -7]
+                    .choose(&mut rng)
+                    .unwrap();
+                s.update(rng.gen_range(0..D), w).unwrap();
+            }
+            assert_eq!(s.decode(), s.decode_legacy(), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn table_verification_matches_fingerprinter() {
+        // `classify` reads z^index from the scratch's power table; its
+        // verdict must be `OneSparse::decode`'s on one-sparse cells and
+        // on collisions alike.
+        let s = sr(40, 4);
+        let mut pows = None;
+        let table = s.pow_table(&mut pows);
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..200 {
+            let mut cell = OneSparse::new();
+            for _ in 0..rng.gen_range(1..3) {
+                cell.update(
+                    rng.gen_range(0..D),
+                    *[1i64, -1, 3].choose(&mut rng).unwrap(),
+                    &s.fper,
+                );
+            }
+            let (w, ..) = cell.parts();
+            if w.is_zero() {
+                continue;
+            }
+            let got = s.classify(&cell, w.inv(), table);
+            let want = match cell.decode(&s.fper, D) {
+                OneSparseDecode::One { index, weight } => Some((index, weight)),
+                _ => None,
+            };
+            assert_eq!(got, want);
+        }
+        // A structure with another fingerprint point replaces the table.
+        let other = sr(41, 4);
+        assert_eq!(other.pow_table(&mut pows).point(), other.fper.point());
     }
 
     #[test]

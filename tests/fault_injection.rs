@@ -375,7 +375,7 @@ fn boosting_drives_the_failure_rate_down() {
 fn parallel_decode_outcome_matches_sequential_under_faults() {
     // Thread count and thread scheduling must not change *which* outcome a
     // faulted decode surfaces: for every injected-fault class and seed, the
-    // arena engine at 1/2/4 threads returns exactly the reference
+    // decode engine at 1/2/4 threads returns exactly the reference
     // decoder's answer — the same forest, or the same typed error with the
     // same retryability — never a different error picked by whichever
     // worker finished first.
