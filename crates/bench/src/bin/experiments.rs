@@ -10,6 +10,24 @@
 
 use std::process::ExitCode;
 
+use dgs_bench::experiments::{
+    e17_ingest, e18_obs, e19_query, e20_chaos, e21_service, e22_trace, e23_hybrid,
+};
+
+/// A CI guard: re-measures and compares against the baseline at the path.
+type Check = fn(&str) -> bool;
+
+/// The CI guards: subcommand, default baseline file, and the check.
+const CHECKS: &[(&str, &str, Check)] = &[
+    ("check-ingest", "BENCH_ingest.json", e17_ingest::check),
+    ("check-obs", "BENCH_obs.json", e18_obs::check),
+    ("check-query", "BENCH_query.json", e19_query::check),
+    ("check-chaos", "BENCH_chaos.json", e20_chaos::check),
+    ("check-service", "BENCH_service.json", e21_service::check),
+    ("check-trace", "BENCH_trace.json", e22_trace::check),
+    ("check-hybrid", "BENCH_hybrid.json", e23_hybrid::check),
+];
+
 const DESCRIPTIONS: &[(&str, &str)] = &[
     ("e1", "Thm 4: vertex-removal query structure"),
     ("e2", "Thm 5: Ω(kn) indexing lower-bound protocol"),
@@ -72,84 +90,39 @@ fn main() -> ExitCode {
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
 
     if ids.is_empty() || ids.iter().any(|a| a.as_str() == "help") {
+        let checks: String = CHECKS
+            .iter()
+            .map(|(cmd, _, _)| format!(" | {cmd} [baseline]"))
+            .collect();
         eprintln!(
-            "usage: experiments <all | list | check-ingest [baseline] | check-obs [baseline] \
-             | check-query [baseline] | check-chaos [baseline] | check-service [baseline] \
-             | check-trace [baseline] | check-hybrid [baseline] \
+            "usage: experiments <all | list{checks} \
              | obs-report [--postmortem <file>] | e1 .. e23>... [--quick]"
         );
         return ExitCode::from(2);
     }
-    if ids.first().map(|a| a.as_str()) == Some("check-ingest") {
-        let baseline = ids.get(1).map_or("BENCH_ingest.json", |s| s.as_str());
-        return if dgs_bench::experiments::e17_ingest::check(baseline) {
+    let first = ids.first().map(|a| a.as_str());
+    if let Some((_, default, check)) = CHECKS.iter().find(|(cmd, _, _)| Some(*cmd) == first) {
+        let baseline = ids.get(1).map_or(*default, |s| s.as_str());
+        return if check(baseline) {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         };
     }
-    if ids.first().map(|a| a.as_str()) == Some("check-query") {
-        let baseline = ids.get(1).map_or("BENCH_query.json", |s| s.as_str());
-        return if dgs_bench::experiments::e19_query::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-obs") {
-        let baseline = ids.get(1).map_or("BENCH_obs.json", |s| s.as_str());
-        return if dgs_bench::experiments::e18_obs::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-chaos") {
-        let baseline = ids.get(1).map_or("BENCH_chaos.json", |s| s.as_str());
-        return if dgs_bench::experiments::e20_chaos::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-service") {
-        let baseline = ids.get(1).map_or("BENCH_service.json", |s| s.as_str());
-        return if dgs_bench::experiments::e21_service::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-trace") {
-        let baseline = ids.get(1).map_or("BENCH_trace.json", |s| s.as_str());
-        return if dgs_bench::experiments::e22_trace::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("check-hybrid") {
-        let baseline = ids.get(1).map_or("BENCH_hybrid.json", |s| s.as_str());
-        return if dgs_bench::experiments::e23_hybrid::check(baseline) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if ids.first().map(|a| a.as_str()) == Some("obs-report") {
+    if first == Some("obs-report") {
         if args.iter().any(|a| a == "--postmortem") {
             // The file path is the operand after the flag.
             let Some(path) = ids.get(1) else {
                 eprintln!("usage: experiments obs-report --postmortem <file.dgspm>");
                 return ExitCode::from(2);
             };
-            return if dgs_bench::experiments::e22_trace::render_postmortem(path) {
+            return if e22_trace::render_postmortem(path) {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
             };
         }
-        dgs_bench::experiments::e18_obs::obs_report(quick);
+        e18_obs::obs_report(quick);
         return ExitCode::SUCCESS;
     }
     if ids.iter().any(|a| a.as_str() == "list") {

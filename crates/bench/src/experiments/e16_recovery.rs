@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use dgs_connectivity::SpanningForestSketch;
-use dgs_core::checkpoint::{
-    CheckpointConfig, CheckpointStore, CheckpointedIngestor, Recoverable, RecoveryDriver,
-};
+use dgs_core::checkpoint::{CheckpointConfig, Recoverable, RecoveryDriver};
+use dgs_core::supervise::{SupervisedIngestor, SupervisorConfig};
 use dgs_field::prng::*;
 use dgs_field::{Codec, SeedTree, Writer};
 use dgs_hypergraph::generators::gnm;
@@ -105,38 +104,46 @@ pub fn run(quick: bool) {
     for (i, &interval) in intervals.iter().enumerate() {
         let wal_dir = base.join(format!("wal-{i}"));
         let snap_dir = base.join(format!("snap-{i}"));
-        let cfg = CheckpointConfig {
-            wal: WalConfig {
-                segment_records: 4096,
-                seed,
+        // One shard flushed after every update: it logs, applies and
+        // snapshots at exactly the offsets the interval names.
+        let cfg = SupervisorConfig {
+            repetitions: 1,
+            threads: 1,
+            batch_size: 1,
+            checkpoint: CheckpointConfig {
+                wal: WalConfig {
+                    segment_records: 4096,
+                    seed,
+                },
+                snapshot_interval: interval.unwrap_or(u64::MAX),
+                snapshot_seed: seed,
             },
-            snapshot_interval: interval.unwrap_or(u64::MAX),
-            snapshot_seed: seed,
+            ..SupervisorConfig::default()
         };
 
         // Ingest under durability, then crash (drop without sealing).
         let t0 = Instant::now();
-        let mut ing = CheckpointedIngestor::create(
+        let mut ing = SupervisedIngestor::create(
             &wal_dir,
             &snap_dir,
             stream.n,
             stream.max_rank,
             cfg,
-            fresh(n, seed),
+            move |_| fresh(n, seed),
         )
         .expect("create ingestor");
         for u in &stream.updates[..crash_at] {
-            ing.ingest(u).expect("ingest");
+            ing.push(u).expect("ingest");
         }
         let ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let snapshots = ing.store().offsets().expect("list snapshots").len();
+        let store = ing.shard_store(0).clone();
+        let snapshots = store.offsets().expect("list snapshots").len();
         drop(ing);
 
         let wal_bytes = dir_bytes(&wal_dir);
-        let snap_bytes = dir_bytes(&snap_dir);
+        let snap_bytes = dir_bytes(store.dir());
 
         // Timed recovery.
-        let store = CheckpointStore::open(&snap_dir, cfg.snapshot_seed).expect("open store");
         let driver = RecoveryDriver::new(&wal_dir, store);
         let t1 = Instant::now();
         let rec = driver

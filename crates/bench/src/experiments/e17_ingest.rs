@@ -27,7 +27,7 @@ use dgs_core::{BoostedQuery, ShardedIngestor};
 use dgs_field::prng::*;
 use dgs_field::{Codec, SeedTree, Writer};
 use dgs_hypergraph::generators::gnm;
-use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
+use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph, Update};
 
 use crate::baseline::{json_f64_field, Baseline, Fields};
 use crate::report::Table;
@@ -122,16 +122,15 @@ pub fn measure(quick: bool) -> Measurement {
     let mut rng = StdRng::seed_from_u64(seed);
     let h = Hypergraph::from_graph(&gnm(n, 4 * n, &mut rng));
     let stream = default_stream(&h, &mut rng);
-    let base_pairs: Vec<(HyperEdge, i64)> = stream
-        .updates
+    let stream_updates = stream.len();
+    let tiles = target.div_ceil(stream_updates);
+    let updates: Vec<Update> = (0..tiles)
+        .flat_map(|_| stream.updates.iter().cloned())
+        .collect();
+    let pairs: Vec<(HyperEdge, i64)> = updates
         .iter()
         .map(|u| (u.edge.clone(), u.op.delta()))
         .collect();
-    let stream_updates = base_pairs.len();
-    let mut pairs = Vec::with_capacity(target + stream_updates);
-    while pairs.len() < target {
-        pairs.extend(base_pairs.iter().cloned());
-    }
     let m = pairs.len();
 
     let mut rows: Vec<RowOut> = Vec::new();
@@ -222,8 +221,8 @@ pub fn measure(quick: bool) -> Measurement {
     for _ in 0..trials {
         let mut q = BoostedQuery::new(r, build);
         let t = Instant::now();
-        for (e, d) in &pairs {
-            q.try_update(e, *d).expect("boosted scalar update");
+        for u in &updates {
+            q.try_update(u).expect("boosted scalar update");
         }
         let ups = m as f64 / t.elapsed().as_secs_f64();
         if ups > boosted_scalar_ups {
@@ -245,8 +244,8 @@ pub fn measure(quick: bool) -> Measurement {
         for _ in 0..trials {
             let mut ing = ShardedIngestor::with_build(r, t, CROSSOVER_BATCH, build);
             let t0 = Instant::now();
-            for (e, d) in &pairs {
-                ing.push(e, *d).expect("sharded push");
+            for u in &updates {
+                ing.push(u).expect("sharded push");
             }
             let q = ing.finish().expect("sharded finish");
             let ups = m as f64 / t0.elapsed().as_secs_f64();

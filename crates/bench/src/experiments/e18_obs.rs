@@ -25,8 +25,8 @@
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BoostedQuery, CheckpointConfig, CheckpointedIngestor, QueryOutcome, RecoveryDriver,
-    ShardedIngestor,
+    BoostedQuery, CheckpointConfig, QueryOutcome, RecoveryDriver, ShardedIngestor,
+    SupervisedIngestor, SupervisorConfig,
 };
 use dgs_field::prng::*;
 use dgs_field::SeedTree;
@@ -379,35 +379,41 @@ pub fn obs_report(quick: bool) {
         SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), lean_forest())
     });
     ingestor.set_sink(&sink);
-    for (e, d) in &pairs {
-        ingestor.push(e, *d).expect("sharded push");
+    for u in &stream.updates {
+        ingestor.push(u).expect("sharded push");
     }
     let _ = ingestor.finish().expect("sharded finish");
 
-    // Durability: WAL appends, a forced snapshot, and a recovery pass.
+    // Durability: WAL appends, one snapshot when the last update is
+    // flushed, and a recovery pass.
     let dirs = std::env::temp_dir().join(format!("dgs-obs-report-{}", std::process::id()));
     let (wal_dir, snap_dir) = (dirs.join("wal"), dirs.join("snap"));
     let _ = std::fs::remove_dir_all(&dirs);
-    let cfg = CheckpointConfig::default();
-    let fresh = |n: usize, _max_rank: usize| {
+    let cfg = SupervisorConfig {
+        repetitions: 1,
+        threads: 1,
+        checkpoint: CheckpointConfig {
+            snapshot_interval: stream.len() as u64,
+            ..CheckpointConfig::default()
+        },
+        ..SupervisorConfig::default()
+    };
+    let fresh = move |n: usize, _max_rank: usize| {
         let space = EdgeSpace::graph(n).unwrap();
         SpanningForestSketch::new_full(space, &SeedTree::new(seed ^ 0xC0), lean_forest())
     };
-    let mut durable = CheckpointedIngestor::create(
-        &wal_dir,
-        &snap_dir,
-        n,
-        stream.max_rank,
-        cfg,
-        fresh(n, stream.max_rank),
-    )
-    .expect("create durable ingestor");
+    let max_rank = stream.max_rank;
+    let mut durable =
+        SupervisedIngestor::create(&wal_dir, &snap_dir, n, max_rank, cfg, move |_| {
+            fresh(n, max_rank)
+        })
+        .expect("create durable ingestor");
     durable.set_sink(&sink);
     for u in &stream.updates {
-        durable.ingest(u).expect("durable ingest");
+        durable.push(u).expect("durable ingest");
     }
-    durable.checkpoint_now().expect("checkpoint");
-    let store = durable.store().clone();
+    durable.flush().expect("flush and snapshot");
+    let store = durable.shard_store(0).clone();
     drop(durable);
     let mut driver = RecoveryDriver::new(&wal_dir, store);
     driver.set_sink(&sink);

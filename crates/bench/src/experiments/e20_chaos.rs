@@ -43,23 +43,22 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     CheckpointConfig, QueryBudget, Recoverable, SupervisedAnswer, SupervisedIngestor,
     SupervisorConfig,
 };
 use dgs_field::prng::*;
-use dgs_field::{Codec, SeedTree, Writer};
+use dgs_field::{Codec, Writer};
 use dgs_hypergraph::algo::UnionFind;
 use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{
-    ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, HyperEdge, Hypergraph, Update,
-};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, HyperEdge, Hypergraph, Update};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 
 use crate::baseline::{Baseline, Fields};
 use crate::report::Table;
+use crate::workloads::forest_build;
 
 /// Everything E20 measures.
 pub struct Measurement {
@@ -128,14 +127,6 @@ impl Measurement {
 
 const QUERY_EVERY: usize = 100;
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted campaign: every fault class fires at deterministic update
 /// indices inside the first 85% of the stream, leaving a clean tail for
@@ -368,7 +359,7 @@ pub fn measure(quick: bool) -> Measurement {
                         .expect("divergent update");
                 }
                 ChaosFault::CheckpointCorruption { shard } => {
-                    let dir = sup.shard_snapshot_dir(shard % repetitions).to_path_buf();
+                    let dir = sup.shard_store(shard % repetitions).dir().to_path_buf();
                     corrupt_snapshots(&dir);
                 }
                 ChaosFault::WalTornTail { bytes } => {

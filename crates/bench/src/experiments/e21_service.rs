@@ -51,23 +51,21 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     BrownoutConfig, CheckpointConfig, ConnectivityService, Overload, QueryPolicy, QueryRequest,
     ServiceConfig, ServiceError, SupervisedAnswer, SupervisorConfig, TokenBucketConfig,
 };
 use dgs_field::prng::*;
-use dgs_field::SeedTree;
 use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{
-    ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, HyperEdge, Hypergraph, Update,
-};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, HyperEdge, Hypergraph, Update};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 
 use super::e20_chaos::exact_components;
 use crate::baseline::{summary_pass, Baseline, Fields};
 use crate::report::Table;
+use crate::workloads::forest_build;
 
 /// Everything E21 measures.
 pub struct Measurement {
@@ -159,14 +157,6 @@ impl Measurement {
 /// wall — honest `DeadlineExceeded` is the verdict for those, not silence.
 const OVERRUN_TOLERANCE: Duration = Duration::from_millis(150);
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted load campaign. Spikes are sized to exhaust the token
 /// bucket deterministically (each majority query in a burst charges R

@@ -36,22 +36,22 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use dgs_connectivity::{ForestParams, SpanningForestSketch};
+use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
     BreakerConfig, BrownoutConfig, CheckpointConfig, ConnectivityService, QueryPolicy,
     QueryRequest, ServiceConfig, ServiceError, SupervisedIngestor, SupervisorConfig,
     TokenBucketConfig,
 };
 use dgs_field::prng::*;
-use dgs_field::SeedTree;
 use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, EdgeSpace, Hypergraph, Update};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, Hypergraph, Update};
 use dgs_obs::Registry;
-use dgs_sketch::{Profile, SketchError};
+use dgs_sketch::SketchError;
 use dgs_trace::{FlightRecorder, Postmortem, Tracer};
 
 use crate::baseline::{summary_pass, Baseline, Fields};
 use crate::report::Table;
+use crate::workloads::forest_build;
 
 /// Everything E22 measures.
 pub struct Measurement {
@@ -137,14 +137,6 @@ impl Measurement {
 }
 
 const DELTA: f64 = 0.5;
-
-fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
-    move |i| {
-        let space = EdgeSpace::graph(n).expect("edge space");
-        let params = ForestParams::new(Profile::Practical, space.dimension());
-        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
-    }
-}
 
 /// The scripted failure campaign: a transient shard error (retry spans), a
 /// poisoning (quarantine postmortem), and a late stall burst sized to trip

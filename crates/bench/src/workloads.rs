@@ -1,10 +1,11 @@
 //! Shared workload builders and lean sketch parameters for the experiments.
 
-use dgs_connectivity::ForestParams;
+use dgs_connectivity::{ForestParams, SpanningForestSketch};
 use dgs_field::prng::Rng;
+use dgs_field::SeedTree;
 use dgs_hypergraph::generators::{churn_stream, ChurnConfig};
-use dgs_hypergraph::{Hypergraph, UpdateStream};
-use dgs_sketch::L0Params;
+use dgs_hypergraph::{EdgeSpace, Hypergraph, UpdateStream};
+use dgs_sketch::{L0Params, Profile};
 
 /// Lean ℓ0 parameters used across the experiment suite: small enough that a
 /// full `experiments all` run fits comfortably in memory, large enough that
@@ -22,6 +23,17 @@ pub fn lean_forest() -> ForestParams {
     ForestParams {
         l0: lean_l0(),
         extra_rounds: 2,
+    }
+}
+
+/// Shard factory of the soak experiments (E20–E22): repetition `i` is a
+/// Practical-profile forest sketch over `n` vertices seeded from child `i`
+/// of `seed`.
+pub fn forest_build(n: usize, seed: u64) -> impl Fn(usize) -> SpanningForestSketch + Send + Sync {
+    move |i| {
+        let space = EdgeSpace::graph(n).expect("edge space");
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        SpanningForestSketch::new_full(space, &SeedTree::new(seed).child(i as u64), params)
     }
 }
 
@@ -61,7 +73,6 @@ mod tests {
 
     #[test]
     fn lean_params_are_smaller_than_practical() {
-        use dgs_sketch::Profile;
         let practical = L0Params::for_dimension(1 << 20, Profile::Practical);
         let lean = lean_l0();
         assert!(lean.sparsity <= practical.sparsity);

@@ -311,26 +311,7 @@ impl SpanningForestSketch {
     /// malformed stream element surfaces as [`SketchError::InvalidInput`]
     /// — in release builds too — instead of corrupting state or panicking.
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        if e.cardinality() > self.space.max_rank() {
-            return Err(SketchError::invalid(format!(
-                "edge of rank {} exceeds the space's rank bound {}",
-                e.cardinality(),
-                self.space.max_rank()
-            )));
-        }
-        for &v in e.vertices() {
-            if (v as usize) >= self.space.n() {
-                return Err(SketchError::invalid(format!(
-                    "vertex {v} out of range for a {}-vertex edge space",
-                    self.space.n()
-                )));
-            }
-            if self.vpos[v as usize] == u32::MAX {
-                return Err(SketchError::invalid(format!(
-                    "update touches absent vertex {v}"
-                )));
-            }
-        }
+        self.validate_edge(e)?;
         let idx = self.space.rank(e);
         let nv = self.vertices.len();
         for &v in e.vertices() {

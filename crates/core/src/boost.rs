@@ -26,13 +26,15 @@
 //! poisons every repetition identically, so retrying is useless and the
 //! outcome is [`QueryOutcome::Invalid`].
 //!
-//! Sharded ingestion: the root crate's `parallel_ingest_boosted` stripes
-//! the `R` repetitions across worker threads (each repetition's sketch is
+//! Sharded ingestion: [`crate::ingest::ShardedIngestor`] stripes the `R`
+//! repetitions across the worker pool (each repetition's sketch is
 //! independent, so no cross-thread merging is needed).
 
-use dgs_hypergraph::HyperEdge;
+use dgs_hypergraph::Update;
 use dgs_obs::{Counter, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
+
+use crate::checkpoint::Recoverable;
 
 /// The resolution of a boosted query.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,50 +86,6 @@ impl<T> QueryOutcome<T> {
             )),
             QueryOutcome::Invalid(e) => Err(e),
         }
-    }
-}
-
-/// A sketch that can participate in boosted repetition: it accepts signed
-/// hyperedge updates fallibly. Implemented by every top-level structure in
-/// this crate and by the substrate sketches in `dgs-connectivity`.
-pub trait BoostableSketch {
-    /// Applies one signed hyperedge update.
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()>;
-}
-
-impl BoostableSketch for dgs_connectivity::SpanningForestSketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
-impl BoostableSketch for dgs_connectivity::KSkeletonSketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
-impl BoostableSketch for crate::VertexConnSketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
-impl BoostableSketch for crate::EdgeConnSketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
-impl BoostableSketch for crate::LightRecoverySketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
-impl BoostableSketch for crate::HypergraphSparsifier {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
     }
 }
 
@@ -277,15 +235,15 @@ impl<S> BoostedQuery<S> {
     }
 }
 
-impl<S: BoostableSketch> BoostedQuery<S> {
-    /// Applies one signed hyperedge update to every repetition. A
-    /// malformed element is rejected by the first repetition's validation
-    /// before any later repetition is touched (all repetitions share one
-    /// space and vertex set, so they accept or reject identically).
+impl<S: Recoverable> BoostedQuery<S> {
+    /// Applies one stream update to every repetition. A malformed element
+    /// is rejected by the first repetition's validation before any later
+    /// repetition is touched (all repetitions share one space and vertex
+    /// set, so they accept or reject identically).
     #[must_use = "a dropped SketchResult hides a sketch failure"]
-    pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
+    pub fn try_update(&mut self, u: &Update) -> SketchResult<()> {
         for s in &mut self.repetitions {
-            s.try_apply(e, delta)?;
+            s.apply_update(u)?;
         }
         Ok(())
     }

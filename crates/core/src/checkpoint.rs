@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 use dgs_connectivity::{KSkeletonSketch, SpanningForestSketch};
 use dgs_field::{Codec, Reader, Writer};
 use dgs_hypergraph::fault::fnv1a64;
-use dgs_hypergraph::wal::{read_wal, WalConfig, WalError, WalWriter};
-use dgs_hypergraph::{Update, UpdateStream};
+use dgs_hypergraph::wal::{read_wal, WalConfig, WalError};
+use dgs_hypergraph::Update;
 use dgs_obs::{Counter, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
@@ -167,8 +167,12 @@ fn io_err(path: &Path, e: std::io::Error) -> RecoveryError {
     }
 }
 
-/// A sketch that can be checkpointed and replayed into: binary-persistable
-/// state plus the linear update rule.
+/// A linear sketch: the signed update rule plus binary-persistable state.
+///
+/// This is the one trait through which boosting ([`crate::BoostedQuery`]),
+/// sharded and supervised ingestion, and WAL recovery apply updates. Every
+/// update is a signed hyperedge, so a deletion is a negative insertion;
+/// weighted deltas stay on each sketch's inherent `try_update`.
 pub trait Recoverable: Codec {
     /// Applies one stream update (a deletion is a negative insertion).
     fn apply_update(&mut self, u: &Update) -> SketchResult<()>;
@@ -683,7 +687,7 @@ fn replay_into<T: Recoverable>(
     Ok(())
 }
 
-/// Durability policy for [`CheckpointedIngestor`].
+/// Durability policy for [`crate::supervise::SupervisedIngestor`].
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointConfig {
     /// Write-ahead-log segmentation and fingerprint seed.
@@ -706,144 +710,12 @@ impl Default for CheckpointConfig {
     }
 }
 
-/// A sketch wrapped with write-ahead durability: every update is logged
-/// before it touches the sketch, and a snapshot is taken every
-/// `snapshot_interval` updates.
-#[derive(Debug)]
-pub struct CheckpointedIngestor<T: Recoverable> {
-    sketch: T,
-    wal: WalWriter,
-    store: CheckpointStore,
-    interval: u64,
-    since_snapshot: u64,
-}
-
-impl<T: Recoverable> CheckpointedIngestor<T> {
-    /// Starts durable ingestion of a fresh stream: creates the WAL and
-    /// snapshot directories and logs updates ahead of the sketch.
-    pub fn create(
-        wal_dir: impl Into<PathBuf>,
-        snap_dir: impl Into<PathBuf>,
-        n: usize,
-        max_rank: usize,
-        cfg: CheckpointConfig,
-        sketch: T,
-    ) -> Result<CheckpointedIngestor<T>, RecoveryError> {
-        assert!(cfg.snapshot_interval >= 1, "snapshot interval must be >= 1");
-        let wal = WalWriter::create(wal_dir, n, max_rank, cfg.wal)?;
-        let store = CheckpointStore::open(snap_dir, cfg.snapshot_seed)?;
-        Ok(CheckpointedIngestor {
-            sketch,
-            wal,
-            store,
-            interval: cfg.snapshot_interval,
-            since_snapshot: 0,
-        })
-    }
-
-    /// Resumes durable ingestion after a crash: recovers the sketch via the
-    /// ladder, seals the WAL's torn tail, and continues appending. `fresh`
-    /// rebuilds the sketch for the full-replay fallback.
-    pub fn resume<F>(
-        wal_dir: impl Into<PathBuf>,
-        snap_dir: impl Into<PathBuf>,
-        n: usize,
-        max_rank: usize,
-        cfg: CheckpointConfig,
-        fresh: F,
-    ) -> Result<(CheckpointedIngestor<T>, Recovered<T>), RecoveryError>
-    where
-        F: FnOnce(usize, usize) -> T,
-        T: Clone,
-    {
-        assert!(cfg.snapshot_interval >= 1, "snapshot interval must be >= 1");
-        let wal_dir = wal_dir.into();
-        let store = CheckpointStore::open(snap_dir, cfg.snapshot_seed)?;
-        // Seal the log's torn tail first; recovery is then capped at the
-        // durable length so sketch and writer agree on the stream offset
-        // (a snapshot *ahead* of the log is only usable read-only).
-        let (wal, replay) = WalWriter::resume(&wal_dir, n, max_rank, cfg.wal)?;
-        let durable = replay.updates.len() as u64;
-        let driver = RecoveryDriver::new(&wal_dir, store.clone());
-        let recovered = driver.recover_capped(Some(durable), fresh)?;
-        debug_assert_eq!(recovered.offset, wal.offset());
-        // Snapshots past the sealed tail describe a history the resumed log
-        // is about to diverge from; drop them before the offset re-advances
-        // over their positions.
-        store.purge_after(durable)?;
-        let ingestor = CheckpointedIngestor {
-            sketch: recovered.sketch.clone(),
-            wal,
-            store,
-            interval: cfg.snapshot_interval,
-            since_snapshot: 0,
-        };
-        Ok((ingestor, recovered))
-    }
-
-    /// Attach metric handles resolved from `sink` to the WAL writer and the
-    /// snapshot store (append/sync/snapshot latencies and byte counts).
-    /// Default is the null sink.
-    pub fn set_sink(&mut self, sink: &MetricsSink) {
-        self.wal.set_sink(sink);
-        self.store.set_sink(sink);
-    }
-
-    /// Logs then applies one update; snapshots when the interval elapses.
-    pub fn ingest(&mut self, u: &Update) -> Result<(), RecoveryError> {
-        self.wal.append(u)?;
-        self.sketch.apply_update(u).map_err(RecoveryError::Sketch)?;
-        self.since_snapshot += 1;
-        if self.since_snapshot >= self.interval {
-            self.checkpoint_now()?;
-        }
-        Ok(())
-    }
-
-    /// Forces a snapshot at the current offset (WAL synced first, so the
-    /// snapshot never claims an offset the log has not durably reached).
-    pub fn checkpoint_now(&mut self) -> Result<(), RecoveryError> {
-        self.wal.sync()?;
-        self.store.save(&self.sketch, self.wal.offset())?;
-        self.since_snapshot = 0;
-        Ok(())
-    }
-
-    /// Updates ingested so far.
-    pub fn offset(&self) -> u64 {
-        self.wal.offset()
-    }
-
-    /// The live sketch.
-    pub fn sketch(&self) -> &T {
-        &self.sketch
-    }
-
-    /// Finishes ingestion, returning the sketch.
-    pub fn into_sketch(self) -> T {
-        self.sketch
-    }
-
-    /// The snapshot store (for inspecting checkpoints in tests/tools).
-    pub fn store(&self) -> &CheckpointStore {
-        &self.store
-    }
-}
-
-/// Replays a full [`UpdateStream`] into a recoverable sketch — the
-/// "uninterrupted run" reference used by the crash harness.
-pub fn ingest_all<T: Recoverable>(sketch: &mut T, stream: &UpdateStream) -> SketchResult<()> {
-    for u in &stream.updates {
-        sketch.apply_update(u)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use crate::supervise::{SupervisedIngestor, SupervisorConfig};
     use dgs_connectivity::forest::ForestParams;
     use dgs_field::SeedTree;
     use dgs_hypergraph::{EdgeSpace, HyperEdge};
@@ -870,6 +742,21 @@ mod tests {
         (0..n as u32 - 1)
             .map(|i| Update::insert(HyperEdge::pair(i, i + 1)))
             .collect()
+    }
+
+    /// One shard flushed after every update: it logs, applies and
+    /// snapshots at the same offsets as a single sketch behind the WAL.
+    fn one_shard(snapshot_interval: u64) -> SupervisorConfig {
+        SupervisorConfig {
+            repetitions: 1,
+            threads: 1,
+            batch_size: 1,
+            checkpoint: CheckpointConfig {
+                snapshot_interval,
+                ..CheckpointConfig::default()
+            },
+            ..SupervisorConfig::default()
+        }
     }
 
     #[test]
@@ -909,20 +796,16 @@ mod tests {
         let wal_dir = tmpdir("ladder-wal");
         let snap_dir = tmpdir("ladder-snap");
         let updates = path_updates(20);
-        let cfg = CheckpointConfig {
-            snapshot_interval: 6,
-            ..CheckpointConfig::default()
-        };
         let mut ing =
-            CheckpointedIngestor::create(&wal_dir, &snap_dir, 20, 2, cfg, forest(20)).unwrap();
+            SupervisedIngestor::create(&wal_dir, &snap_dir, 20, 2, one_shard(6), |_| forest(20))
+                .unwrap();
         for u in &updates {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
-        let snaps = ing.store().offsets().unwrap();
-        assert_eq!(snaps, vec![6, 12, 18]);
+        let store = ing.shard_store(0).clone();
+        assert_eq!(store.offsets().unwrap(), vec![6, 12, 18]);
         drop(ing); // crash
 
-        let store = CheckpointStore::open(&snap_dir, 0).unwrap();
         let driver = RecoveryDriver::new(&wal_dir, store);
         let rec: Recovered<SpanningForestSketch> = driver.recover(|_, _| forest(20)).unwrap();
         assert_eq!(rec.offset, 19);
@@ -948,29 +831,22 @@ mod tests {
         let wal_dir = tmpdir("fallback-wal");
         let snap_dir = tmpdir("fallback-snap");
         let updates = path_updates(16);
-        let cfg = CheckpointConfig {
-            snapshot_interval: 5,
-            ..CheckpointConfig::default()
-        };
         let mut ing =
-            CheckpointedIngestor::create(&wal_dir, &snap_dir, 16, 2, cfg, forest(16)).unwrap();
+            SupervisedIngestor::create(&wal_dir, &snap_dir, 16, 2, one_shard(5), |_| forest(16))
+                .unwrap();
         for u in &updates {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
+        let store = ing.shard_store(0).clone();
         drop(ing);
         // Flip a byte in every snapshot.
-        for off in CheckpointStore::open(&snap_dir, 0)
-            .unwrap()
-            .offsets()
-            .unwrap()
-        {
-            let p = snapshot_path(Path::new(&snap_dir), off);
+        for off in store.offsets().unwrap() {
+            let p = snapshot_path(store.dir(), off);
             let mut b = fs::read(&p).unwrap();
             let mid = b.len() / 2;
             b[mid] ^= 0xFF;
             fs::write(&p, b).unwrap();
         }
-        let store = CheckpointStore::open(&snap_dir, 0).unwrap();
         let driver = RecoveryDriver::new(&wal_dir, store);
         let rec: Recovered<SpanningForestSketch> = driver.recover(|_, _| forest(16)).unwrap();
         assert_eq!(rec.from_snapshot, None);
@@ -1003,36 +879,28 @@ mod tests {
         let wal_dir = tmpdir("resume-wal");
         let snap_dir = tmpdir("resume-snap");
         let updates = path_updates(30);
-        let cfg = CheckpointConfig {
-            snapshot_interval: 8,
-            ..CheckpointConfig::default()
-        };
         let mut ing =
-            CheckpointedIngestor::create(&wal_dir, &snap_dir, 30, 2, cfg, forest(30)).unwrap();
+            SupervisedIngestor::create(&wal_dir, &snap_dir, 30, 2, one_shard(8), |_| forest(30))
+                .unwrap();
         for u in &updates[..17] {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
         drop(ing); // crash mid-stream
 
-        let (mut ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
-            &wal_dir,
-            &snap_dir,
-            30,
-            2,
-            cfg,
-            |_, _| forest(30),
-        )
-        .unwrap();
-        assert_eq!(rec.offset, 17);
+        let (mut ing, offset) =
+            SupervisedIngestor::resume(&wal_dir, &snap_dir, 30, 2, one_shard(8), |_| forest(30))
+                .unwrap();
+        assert_eq!(offset, 17);
         for u in &updates[17..] {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
         let mut reference = forest(30);
         for u in &updates {
             reference.apply_update(u).unwrap();
         }
+        let boosted = ing.finish().unwrap();
         assert_eq!(
-            ing.sketch().try_component_count().unwrap(),
+            boosted.sketches()[0].try_component_count().unwrap(),
             reference.try_component_count().unwrap()
         );
         fs::remove_dir_all(&wal_dir).unwrap();
@@ -1050,15 +918,13 @@ mod tests {
         let wal_dir = tmpdir("cap-wal");
         let snap_dir = tmpdir("cap-snap");
         let updates = path_updates(30); // 29 records
-        let cfg = CheckpointConfig {
-            snapshot_interval: 8,
-            ..CheckpointConfig::default()
-        };
         let mut ing =
-            CheckpointedIngestor::create(&wal_dir, &snap_dir, 30, 2, cfg, forest(30)).unwrap();
+            SupervisedIngestor::create(&wal_dir, &snap_dir, 30, 2, one_shard(8), |_| forest(30))
+                .unwrap();
         for u in &updates {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
+        let store = ing.shard_store(0).clone();
         drop(ing); // all 29 records are in the log; snapshots at 8/16/24
 
         let encoded = |s: &SpanningForestSketch| {
@@ -1066,7 +932,6 @@ mod tests {
             s.encode(&mut w);
             w.into_bytes()
         };
-        let store = CheckpointStore::open(&snap_dir, cfg.snapshot_seed).unwrap();
         let driver = RecoveryDriver::new(&wal_dir, store);
         for cap in [0u64, 5, 8, 20, 29] {
             let rec: Recovered<SpanningForestSketch> =

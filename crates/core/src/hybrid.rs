@@ -525,12 +525,6 @@ fn canonical_labels(uf: &mut UnionFind, vertices: &[VertexId]) -> Vec<VertexId> 
     roots.into_iter().map(|r| min_of_root[r as usize]).collect()
 }
 
-impl crate::boost::BoostableSketch for HybridConnectivitySketch {
-    fn try_apply(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.try_update(e, delta)
-    }
-}
-
 impl Codec for HybridConnectivitySketch {
     fn encode(&self, w: &mut Writer) {
         w.put_u8(HYBRID_MAGIC_V1);

@@ -20,66 +20,13 @@
 //! sequential ingestion for every `(threads, batch_size)` choice, which
 //! the property tests assert byte-for-byte.
 
-use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
+use dgs_hypergraph::{Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::{BoostableSketch, BoostedQuery};
+use crate::boost::BoostedQuery;
+use crate::checkpoint::Recoverable;
 
-/// A sketch accepting batched signed hyperedge updates.
-///
-/// The default implementation falls back to per-update
-/// [`BoostableSketch::try_apply`], so every boostable sketch is batchable;
-/// structures with a native batch kernel (the spanning-forest sketch)
-/// override it. Implementations must be *bit-identical* to the scalar loop
-/// on valid batches; on an invalid batch a native implementation may reject
-/// the whole batch atomically where the scalar loop would have applied the
-/// valid prefix.
-pub trait BatchableSketch: BoostableSketch + Send {
-    /// Applies a batch of signed hyperedge updates.
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        for (e, delta) in batch {
-            self.try_apply(e, *delta)?;
-        }
-        Ok(())
-    }
-}
-
-impl BatchableSketch for dgs_connectivity::SpanningForestSketch {
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        self.try_update_batch(batch)
-    }
-}
-
-impl BatchableSketch for crate::HybridConnectivitySketch {
-    fn try_apply_batch(&mut self, batch: &[(HyperEdge, i64)]) -> SketchResult<()> {
-        self.try_update_batch(batch)
-    }
-}
-
-impl BatchableSketch for dgs_connectivity::KSkeletonSketch {}
-impl BatchableSketch for crate::VertexConnSketch {}
-impl BatchableSketch for crate::EdgeConnSketch {}
-impl BatchableSketch for crate::LightRecoverySketch {}
-impl BatchableSketch for crate::HypergraphSparsifier {}
-
-/// Buffers stream updates into fixed-size batches and ingests each batch
-/// into `R` boosted repetitions, striped across the persistent sticky
-/// worker pool.
-///
-/// Extends the repetition striping of the root crate's
-/// `parallel_ingest_boosted` to the *online* setting: updates arrive one at
-/// a time ([`push`](Self::push)), the ingestor flushes a batch whenever the
-/// buffer fills, and [`finish`](Self::finish) flushes the remainder and
-/// hands back a [`BoostedQuery`]. Because repetition assignment is
-/// deterministic (`i % stripes`) and every repetition sees every batch in
-/// stream order, the result is bit-identical to sequential ingestion.
-///
-/// Error handling: an invalid update is detected at the next flush. The
-/// forest sketch's native batch kernel rejects the whole batch atomically
-/// in every repetition, so the ingestor stays consistent; treat any flush
-/// error as fatal for the query (the stream itself is malformed —
-/// retrying cannot help).
 /// Metric handles for one ingestor; null (free) by default.
 #[derive(Debug, Default)]
 struct IngestMetrics {
@@ -109,6 +56,22 @@ impl IngestMetrics {
     }
 }
 
+/// Buffers stream updates into fixed-size batches and ingests each batch
+/// into `R` boosted repetitions, striped across the persistent sticky
+/// worker pool.
+///
+/// Updates arrive one at a time ([`push`](Self::push)), the ingestor
+/// flushes a batch whenever the buffer fills, and
+/// [`finish`](Self::finish) flushes the remainder and hands back a
+/// [`BoostedQuery`]. Because repetition assignment is deterministic
+/// (`i % stripes`) and every repetition sees every batch in stream order,
+/// the result is bit-identical to sequential ingestion.
+///
+/// Error handling: an invalid update is detected at the next flush, which
+/// applies the valid prefix before it in every repetition (the
+/// applied-prefix contract of [`Recoverable::apply_batch`]) and returns
+/// the error. Treat any flush error as fatal for the query: the stream
+/// itself is malformed, and retrying cannot help.
 #[derive(Debug)]
 pub struct ShardedIngestor<S> {
     /// Boosted repetitions in **stripe-major** physical order: stripe 0's
@@ -124,7 +87,7 @@ pub struct ShardedIngestor<S> {
     /// re-derived the clamp independently).
     stripes: usize,
     batch_size: usize,
-    buffer: Vec<(HyperEdge, i64)>,
+    buffer: Vec<Update>,
     ingested: u64,
     metrics: IngestMetrics,
     /// Kept to re-attach the striping pool's own metrics on every flush
@@ -141,7 +104,7 @@ fn stripe_major_order(n: usize, stripes: usize) -> impl Iterator<Item = usize> {
     (0..stripes).flat_map(move |t| (t..n).step_by(stripes))
 }
 
-impl<S: BatchableSketch> ShardedIngestor<S> {
+impl<S: Recoverable + Send> ShardedIngestor<S> {
     /// Wraps already-built repetitions (must be independently seeded
     /// siblings — see [`BoostedQuery::new`]). `threads` above the
     /// repetition count is clamped down at construction: extra workers
@@ -218,9 +181,9 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         self.stripes
     }
 
-    /// Buffers one signed update, flushing if the batch is full.
-    pub fn push(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        self.buffer.push((e.clone(), delta));
+    /// Buffers one stream update, flushing if the batch is full.
+    pub fn push(&mut self, u: &Update) -> SketchResult<()> {
+        self.buffer.push(u.clone());
         self.metrics.queue_depth.set(self.buffer.len() as i64);
         if self.buffer.len() >= self.batch_size {
             self.flush()?;
@@ -228,15 +191,10 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         Ok(())
     }
 
-    /// Buffers one stream update, flushing if the batch is full.
-    pub fn push_update(&mut self, u: &Update) -> SketchResult<()> {
-        self.push(&u.edge, u.op.delta())
-    }
-
     /// Pushes every update of a stream (batching internally).
     pub fn ingest_stream(&mut self, stream: &UpdateStream) -> SketchResult<()> {
         for u in &stream.updates {
-            self.push_update(u)?;
+            self.push(u)?;
         }
         Ok(())
     }
@@ -259,7 +217,7 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
         let n = self.repetitions.len();
         if stripes <= 1 {
             for s in &mut self.repetitions {
-                s.try_apply_batch(&batch)?;
+                s.apply_batch(&batch).map_err(|(_, e)| e)?;
             }
             if let Some(c) = self.metrics.shard_updates.first() {
                 c.add(batch.len() as u64 * n as u64);
@@ -290,7 +248,7 @@ impl<S: BatchableSketch> ShardedIngestor<S> {
                                 || -> SketchResult<()> {
                                     let applied = batch.len() as u64 * stripe.len() as u64;
                                     for s in stripe.iter_mut() {
-                                        s.try_apply_batch(batch)?;
+                                        s.apply_batch(batch).map_err(|(_, e)| e)?;
                                     }
                                     if let Some(c) = shard_counter {
                                         c.add(applied);
@@ -349,7 +307,7 @@ mod tests {
     use dgs_field::prng::*;
     use dgs_field::{Codec, SeedTree, Writer};
     use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-    use dgs_hypergraph::{EdgeSpace, Hypergraph};
+    use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
     use dgs_sketch::Profile;
 
     fn encoded<T: Codec>(t: &T) -> Vec<u8> {
@@ -379,7 +337,7 @@ mod tests {
 
         let mut serial = BoostedQuery::new(3, &build);
         for u in &stream.updates {
-            serial.try_update(&u.edge, u.op.delta()).unwrap();
+            serial.try_update(u).unwrap();
         }
         let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
@@ -413,13 +371,13 @@ mod tests {
 
         let mut serial = BoostedQuery::new(4, &build);
         for u in &stream.updates {
-            serial.try_update(&u.edge, u.op.delta()).unwrap();
+            serial.try_update(u).unwrap();
         }
         let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
         let mut ing = ShardedIngestor::with_build(4, 3, 64, &build);
         for (j, u) in stream.updates.iter().enumerate() {
-            ing.push_update(u).unwrap();
+            ing.push(u).unwrap();
             // Drain mid-batch on a stride that never aligns with the batch
             // size, forcing dozens of short pool scopes.
             if j % 5 == 0 {
@@ -439,7 +397,7 @@ mod tests {
         let build = forest_build(&space, &seeds, params);
         let mut ing = ShardedIngestor::with_build(1, 1, 3, &build);
         for v in 1..=4u32 {
-            ing.push(&HyperEdge::pair(0, v), 1).unwrap();
+            ing.push(&Update::insert(HyperEdge::pair(0, v))).unwrap();
         }
         // 4 pushes with batch_size 3: one flush happened, one update remains.
         assert_eq!(ing.ingested(), 3);
@@ -457,8 +415,8 @@ mod tests {
         let seeds = SeedTree::new(6);
         let build = forest_build(&space, &seeds, params);
         let mut ing = ShardedIngestor::with_build(2, 2, 8, &build);
-        ing.push(&HyperEdge::pair(0, 1), 1).unwrap();
-        ing.push(&HyperEdge::pair(0, 77), 1).unwrap(); // out of range
+        ing.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
+        ing.push(&Update::insert(HyperEdge::pair(0, 77))).unwrap(); // out of range
         let err = ing.finish().unwrap_err();
         assert!(!err.is_retryable());
     }

@@ -43,14 +43,13 @@ pub mod sparsify;
 pub mod supervise;
 pub mod vertex_conn;
 
-pub use boost::{BoostableSketch, BoostedQuery, QueryOutcome};
+pub use boost::{BoostedQuery, QueryOutcome};
 pub use checkpoint::{
-    CheckpointConfig, CheckpointStore, CheckpointedIngestor, Recoverable, Recovered,
-    RecoveryDriver, RecoveryError,
+    CheckpointConfig, CheckpointStore, Recoverable, Recovered, RecoveryDriver, RecoveryError,
 };
 pub use edge_conn::EdgeConnSketch;
 pub use hybrid::{HybridConfig, HybridConnectivitySketch, HybridMode};
-pub use ingest::{BatchableSketch, ShardedIngestor};
+pub use ingest::ShardedIngestor;
 pub use reconstruct::{LightRecovery, LightRecoverySketch};
 pub use service::{
     BreakerConfig, BrownoutConfig, ConnectivityService, Overload, QueryRequest, QueryResponse,

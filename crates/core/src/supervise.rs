@@ -46,11 +46,11 @@ use std::time::{Duration, Instant};
 use dgs_field::{Codec, Writer};
 use dgs_hypergraph::fault::{Backoff, BackoffConfig};
 use dgs_hypergraph::wal::WalWriter;
-use dgs_hypergraph::{Update, UpdateStream};
+use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::{BoostableSketch, BoostedQuery};
+use crate::boost::BoostedQuery;
 use crate::checkpoint::{
     CheckpointConfig, CheckpointStore, Recoverable, RecoveryDriver, RecoveryError,
 };
@@ -706,6 +706,24 @@ fn shard_seed(base: u64, i: usize) -> u64 {
     base ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// Rejects an edge that does not fit a stream over `n` vertices with rank
+/// bound `max_rank` — the shape the WAL was created with.
+fn check_shape(e: &HyperEdge, n: usize, max_rank: usize) -> SketchResult<()> {
+    if e.cardinality() > max_rank {
+        return Err(SketchError::invalid(format!(
+            "edge of rank {} exceeds the stream's rank bound {max_rank}",
+            e.cardinality()
+        )));
+    }
+    // Vertices are sorted ascending, so the last one is the largest.
+    match e.vertices().last() {
+        Some(&v) if v as usize >= n => Err(SketchError::invalid(format!(
+            "vertex {v} out of range for a {n}-vertex stream"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     /// Starts supervised ingestion of a fresh stream. `build(i)` constructs
     /// repetition `i` (it must be deterministic: rebuilds call it again).
@@ -882,7 +900,15 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     }
 
     /// Logs one update to the WAL and buffers it; flushes at batch size.
+    ///
+    /// An update whose edge does not fit the stream shape the WAL was
+    /// created with (a vertex `>= n`, or more than `max_rank` endpoints) is
+    /// rejected with a non-retryable [`RecoveryError::Sketch`] before it is
+    /// logged or buffered: every shard would reject it, and a logged record
+    /// that no shard applies would leave the applied offset behind the log
+    /// and fail every later replay of it.
     pub fn push(&mut self, u: &Update) -> Result<(), RecoveryError> {
+        check_shape(&u.edge, self.wal.n(), self.wal.max_rank()).map_err(RecoveryError::Sketch)?;
         self.wal.append(u)?;
         self.buffer.push(u.clone());
         if self.buffer.len() >= self.cfg.batch_size {
@@ -1366,10 +1392,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
 
     /// Flushes, rebuilds every quarantined shard, and hands the full
     /// ensemble to [`BoostedQuery`] for unsupervised querying.
-    pub fn finish(mut self) -> Result<BoostedQuery<S>, RecoveryError>
-    where
-        S: BoostableSketch,
-    {
+    pub fn finish(mut self) -> Result<BoostedQuery<S>, RecoveryError> {
         self.flush()?;
         for i in 0..self.shards.len() {
             if !self.shards[i].health.is_live() {
@@ -1473,9 +1496,12 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         encoded(self.shards[i].sketch.as_ref())
     }
 
-    /// Shard `i`'s snapshot directory (chaos harnesses corrupt it).
-    pub fn shard_snapshot_dir(&self, i: usize) -> &Path {
-        self.shards[i].store.dir()
+    /// Shard `i`'s snapshot store. Shard stores are opened under a seed
+    /// derived per shard, so a [`RecoveryDriver`] over shard `i`'s
+    /// snapshots must be built from this store (chaos harnesses also
+    /// corrupt its directory).
+    pub fn shard_store(&self, i: usize) -> &CheckpointStore {
+        &self.shards[i].store
     }
 
     /// Chaos hook: shard `i`'s next `attempts` applies fail with clones of
@@ -1827,12 +1853,87 @@ mod tests {
     fn invalid_input_fails_the_stream_not_the_shards() {
         let wal = tmpdir("invalid-wal");
         let snap = tmpdir("invalid-snap");
-        let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg(14), forest).unwrap();
+        // Shards over every vertex but the last: an update touching it fits
+        // the stream shape, so it is logged, and then every shard rejects
+        // it non-retryably at flush.
+        let induced = |i: usize| {
+            let space = EdgeSpace::graph(N).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            let vertices = (0..N as u32 - 1).collect();
+            let seeds = SeedTree::new(1000 + i as u64);
+            SpanningForestSketch::new_induced(space, vertices, &seeds, params)
+        };
+        let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg(14), induced).unwrap();
         sup.push(&Update::insert(HyperEdge::pair(0, 1))).unwrap();
-        // Vertex out of range: every shard rejects it non-retryably.
-        sup.push(&Update::insert(HyperEdge::pair(0, 99))).unwrap();
+        sup.push(&Update::insert(HyperEdge::pair(0, N as u32 - 1)))
+            .unwrap();
         let err = sup.flush().unwrap_err();
         assert!(matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()));
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    /// Regression: an update that does not fit the stream shape used to be
+    /// logged before any shard saw it. The shards applied the valid prefix
+    /// of its batch, the applied offset stayed behind the WAL for good, and
+    /// every later replay of the log (rebuild, scrub audit, resume) failed
+    /// on that record.
+    #[test]
+    fn malformed_update_is_rejected_before_it_is_logged() {
+        const SMALL: usize = 8;
+        let small = |i: usize| {
+            let space = EdgeSpace::graph(SMALL).unwrap();
+            let params = ForestParams::new(Profile::Practical, space.dimension());
+            SpanningForestSketch::new_full(space, &SeedTree::new(2000 + i as u64), params)
+        };
+        let cfg = SupervisorConfig {
+            repetitions: 3,
+            threads: 1,
+            batch_size: 4,
+            scrub_interval: 4,
+            checkpoint: CheckpointConfig {
+                snapshot_interval: 8,
+                ..CheckpointConfig::default()
+            },
+            ..SupervisorConfig::default()
+        };
+        // A path over every vertex, then four chords.
+        let valid: Vec<Update> = (0..SMALL as u32 - 1)
+            .map(|v| (v, v + 1))
+            .chain([(0, 7), (1, 3), (2, 5), (4, 6)])
+            .map(|(u, v)| Update::insert(HyperEdge::pair(u, v)))
+            .collect();
+        let wal = tmpdir("shape-wal");
+        let snap = tmpdir("shape-snap");
+        let mut sup = SupervisedIngestor::create(&wal, &snap, SMALL, 2, cfg, small).unwrap();
+        for u in &valid[..3] {
+            sup.push(u).unwrap();
+        }
+        let out_of_range = Update::insert(HyperEdge::pair(0, 99));
+        let over_rank = Update::insert(HyperEdge::new(vec![0, 1, 2]).unwrap());
+        for bad in [out_of_range, over_rank] {
+            let err = sup.push(&bad).unwrap_err();
+            assert!(
+                matches!(err, RecoveryError::Sketch(ref e) if !e.is_retryable()),
+                "{err}"
+            );
+            assert_eq!(sup.offset(), 3, "a rejected update must not be logged");
+        }
+        for u in &valid[3..] {
+            sup.push(u).unwrap();
+        }
+        sup.flush().unwrap();
+        assert_eq!(sup.offset(), valid.len() as u64);
+        assert_eq!(sup.ingested(), sup.offset());
+        sup.rebuild_now(0).unwrap();
+        assert_eq!(sup.shard_states(), vec![ShardState::Healthy; 3]);
+        for i in 0..3 {
+            let mut reference = small(i);
+            for u in &valid {
+                reference.apply_update(u).unwrap();
+            }
+            assert_eq!(sup.shard_encoded(i), encoded(&reference), "shard {i}");
+        }
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
     }

@@ -370,6 +370,16 @@ impl WalWriter {
         out
     }
 
+    /// Vertex count of the stream this log was created for.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Rank bound of the stream this log was created for.
+    pub fn max_rank(&self) -> usize {
+        self.max_rank
+    }
+
     /// Total records ever appended — the stream offset the next record gets.
     pub fn offset(&self) -> u64 {
         self.offset

@@ -41,51 +41,54 @@ fn main() {
     let wal_dir = base.join("wal");
     let snap_dir = base.join("snapshots");
     let _ = fs::remove_dir_all(&base);
-    let cfg = CheckpointConfig {
-        wal: WalConfig {
-            segment_records: 256,
-            seed: 0xD1CE,
+    // One durable shard, flushed every 16 updates: a crash mid-batch loses
+    // nothing, because every update is logged before it is buffered.
+    let cfg = SupervisorConfig {
+        repetitions: 1,
+        threads: 1,
+        batch_size: 16,
+        checkpoint: CheckpointConfig {
+            wal: WalConfig {
+                segment_records: 256,
+                seed: 0xD1CE,
+            },
+            snapshot_interval: 200,
+            snapshot_seed: 42,
         },
-        snapshot_interval: 200,
-        snapshot_seed: 42,
+        ..SupervisorConfig::default()
     };
+    let build = move |_: usize| fresh_sketch(n);
 
     // --- Phase 1: ingest under durability, then "crash" -------------------
     let crash_1 = stream.len() / 3;
-    let mut ing = CheckpointedIngestor::create(
-        &wal_dir,
-        &snap_dir,
-        n,
-        stream.max_rank,
-        cfg,
-        fresh_sketch(n),
-    )
-    .expect("create durable ingestor");
+    let mut ing = SupervisedIngestor::create(&wal_dir, &snap_dir, n, stream.max_rank, cfg, build)
+        .expect("create durable ingestor");
     for u in &stream.updates[..crash_1] {
-        ing.ingest(u).expect("ingest");
+        ing.push(u).expect("ingest");
     }
     println!("\n-- crash #1 at update {crash_1} (process killed, no shutdown) --");
+    // What recovery will start from: the newest valid snapshot of the
+    // shard's store, plus the WAL tail past it.
+    let store = ing.shard_store(0).clone();
     drop(ing);
-
-    // --- Phase 2: recover, continue, crash again with a torn WAL tail -----
-    let (mut ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
-        &wal_dir,
-        &snap_dir,
-        n,
-        stream.max_rank,
-        cfg,
-        |_, _| fresh_sketch(n),
-    )
-    .expect("recover after crash #1");
+    let rec = RecoveryDriver::new(&wal_dir, store)
+        .recover(|_, _| fresh_sketch(n))
+        .expect("recover after crash #1");
     println!(
-        "recovered to offset {} (snapshot at {:?}, {} records replayed)",
-        rec.offset, rec.from_snapshot, rec.replayed
+        "recovery ladder: snapshot at {:?}, {} records replayed",
+        rec.from_snapshot, rec.replayed
     );
-    assert_eq!(rec.offset as usize, crash_1);
+
+    // --- Phase 2: resume, continue, crash again with a torn WAL tail ------
+    let (mut ing, offset) =
+        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, stream.max_rank, cfg, build)
+            .expect("resume after crash #1");
+    println!("resumed at offset {offset}");
+    assert_eq!(offset as usize, crash_1);
 
     let crash_2 = 2 * stream.len() / 3;
     for u in &stream.updates[crash_1..crash_2] {
-        ing.ingest(u).expect("ingest");
+        ing.push(u).expect("ingest");
     }
     drop(ing);
     // A power loss mid-write: shear bytes off the active segment.
@@ -99,32 +102,26 @@ fn main() {
     println!("\n-- crash #2 at update {crash_2}, last WAL frame torn --");
 
     // --- Phase 3: recover past the torn tail and finish -------------------
-    let (mut ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
-        &wal_dir,
-        &snap_dir,
-        n,
-        stream.max_rank,
-        cfg,
-        |_, _| fresh_sketch(n),
-    )
-    .expect("recover after crash #2");
-    let resume_at = rec.offset as usize;
+    let (mut ing, offset) =
+        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, stream.max_rank, cfg, build)
+            .expect("resume after crash #2");
+    let resume_at = offset as usize;
     println!(
-        "recovered to offset {} ({} torn record(s) discarded from the log tail)",
-        rec.offset,
+        "resumed at offset {offset} ({} torn record(s) discarded from the log tail)",
         crash_2 - resume_at
     );
     assert!(resume_at <= crash_2, "never recover records that were torn");
     for u in &stream.updates[resume_at..] {
-        ing.ingest(u).expect("ingest");
+        ing.push(u).expect("ingest");
     }
+    let recovered = ing.finish().expect("finish");
 
     // --- Equivalence with a run that never crashed ------------------------
     let mut uninterrupted = fresh_sketch(n);
     for u in &stream.updates {
         uninterrupted.update(&u.edge, u.op.delta());
     }
-    let a = ing.sketch().try_component_count();
+    let a = recovered.sketches()[0].try_component_count();
     let b = uninterrupted.try_component_count();
     println!(
         "\ncomponents: recovered run = {:?}, uninterrupted run = {:?}",

@@ -46,8 +46,6 @@ pub use dgs_field as field;
 pub use dgs_hypergraph as hypergraph;
 pub use dgs_sketch as sketch;
 
-pub mod parallel;
-
 /// One-stop imports for the common API surface.
 pub mod prelude {
     pub use dgs_baselines::{benczur_karger_sparsifier, EppsteinCertificate, StoreAll};
@@ -56,14 +54,13 @@ pub mod prelude {
         KSkeletonSketch, SpanningForestSketch,
     };
     pub use dgs_core::{
-        BatchableSketch, BoostedQuery, BreakerConfig, BrownoutConfig, CheckpointConfig,
-        CheckpointStore, CheckpointedIngestor, ConnectivityService, EnsembleOutcome,
-        FrozenEnsemble, HybridConfig, HybridConnectivitySketch, HybridMode, HypergraphSparsifier,
-        LightRecoverySketch, Overload, QueryBudget, QueryOutcome, QueryPolicy, QueryRequest,
-        QueryResponse, Recoverable, Recovered, RecoveryDriver, RecoveryError, ServiceConfig,
-        ServiceError, ShardState, ShardedIngestor, SparsifierConfig, SupervisedAnswer,
-        SupervisedIngestor, SupervisorConfig, TokenBucketConfig, VertexConnConfig,
-        VertexConnSketch,
+        BoostedQuery, BreakerConfig, BrownoutConfig, CheckpointConfig, CheckpointStore,
+        ConnectivityService, EnsembleOutcome, FrozenEnsemble, HybridConfig,
+        HybridConnectivitySketch, HybridMode, HypergraphSparsifier, LightRecoverySketch, Overload,
+        QueryBudget, QueryOutcome, QueryPolicy, QueryRequest, QueryResponse, Recoverable,
+        Recovered, RecoveryDriver, RecoveryError, ServiceConfig, ServiceError, ShardState,
+        ShardedIngestor, SparsifierConfig, SupervisedAnswer, SupervisedIngestor, SupervisorConfig,
+        TokenBucketConfig, VertexConnConfig, VertexConnSketch,
     };
     pub use dgs_field::prng::{Rng, SeedableRng, SliceRandom, StdRng};
     pub use dgs_field::SeedTree;

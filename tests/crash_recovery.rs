@@ -1,7 +1,8 @@
 //! Crash-injection harness for the checkpoint/recovery subsystem.
 //!
 //! The contract under test (DESIGN.md, "Durability & recovery"): kill
-//! ingestion at an arbitrary update index, corrupt the on-disk state with
+//! durable ingestion (`SupervisedIngestor`, the path the service runs) at
+//! an arbitrary update index, corrupt the on-disk state with
 //! torn writes and bit flips, and recovery either reproduces a sketch
 //! **bit-identical** to an uninterrupted run over the durable prefix — so
 //! every connectivity / k-connectivity query answers identically — or
@@ -68,72 +69,112 @@ fn tight_cfg(seed: u64) -> CheckpointConfig {
     }
 }
 
+/// A one-shard durable ingestor. At `batch_size` 1 it logs, applies and
+/// snapshots after every update; a larger batch leaves logged but
+/// unapplied updates in its buffer when it crashes.
+fn one_shard(checkpoint: CheckpointConfig, batch_size: usize) -> SupervisorConfig {
+    SupervisorConfig {
+        repetitions: 1,
+        threads: 1,
+        batch_size,
+        checkpoint,
+        ..SupervisorConfig::default()
+    }
+}
+
 /// Runs ingestion of `updates[..crash_at]`, "crashes" (drops the ingestor
-/// without sealing), and returns the recovery outcome.
-fn crash_and_recover<T: Recoverable>(
+/// without flushing or sealing), and returns the recovery outcome over the
+/// shard's snapshot store.
+fn crash_and_recover<T, F>(
     wal_dir: &PathBuf,
     snap_dir: &PathBuf,
     stream: &UpdateStream,
     crash_at: usize,
-    cfg: CheckpointConfig,
-    mut fresh: impl FnMut() -> T,
-) -> Recovered<T> {
-    let mut ing =
-        CheckpointedIngestor::create(wal_dir, snap_dir, stream.n, stream.max_rank, cfg, fresh())
-            .unwrap();
+    cfg: SupervisorConfig,
+    fresh: F,
+) -> Recovered<T>
+where
+    T: Recoverable + Clone + Send + Sync + 'static,
+    F: Fn() -> T + Clone + Send + Sync + 'static,
+{
+    let build = fresh.clone();
+    let mut ing = SupervisedIngestor::create(
+        wal_dir,
+        snap_dir,
+        stream.n,
+        stream.max_rank,
+        cfg,
+        move |_| build(),
+    )
+    .unwrap();
     for u in &stream.updates[..crash_at] {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
-    drop(ing); // crash: no seal, no final snapshot
+    let store = ing.shard_store(0).clone();
+    drop(ing); // crash: no flush, no seal, no final snapshot
 
-    let store = CheckpointStore::open(snap_dir, cfg.snapshot_seed).unwrap();
     RecoveryDriver::new(wal_dir, store)
         .recover(|_, _| fresh())
         .unwrap()
 }
 
+/// At batch size 8 a crash usually lands mid-batch: the buffered updates
+/// are in the WAL but in no shard, and recovery must still reach the crash
+/// point exactly.
 #[test]
 fn crash_at_randomized_indices_recovers_bit_identical_state() {
-    for trial in 0..12u64 {
-        let stream = workload(500 + trial, 14);
-        let mut rng = StdRng::seed_from_u64(900 + trial);
-        let crash_at = rng.gen_range(1..=stream.len());
-        let (wal_dir, snap_dir) = (tmpdir("idx-wal"), tmpdir("idx-snap"));
-        let rec = crash_and_recover(
-            &wal_dir,
-            &snap_dir,
-            &stream,
-            crash_at,
-            tight_cfg(trial),
-            || forest(stream.n, 7 * trial + 1),
-        );
-        assert_eq!(rec.offset as usize, crash_at, "trial {trial}");
-        assert_eq!(rec.wal_torn_bytes, 0, "no corruption was injected");
+    for batch_size in [1usize, 8] {
+        let mut mid_batch_crashes = 0;
+        for trial in 0..12u64 {
+            let stream = workload(500 + trial, 14);
+            let mut rng = StdRng::seed_from_u64(900 + trial);
+            let crash_at = rng.gen_range(1..=stream.len());
+            mid_batch_crashes += usize::from(crash_at % batch_size != 0);
+            let (wal_dir, snap_dir) = (tmpdir("idx-wal"), tmpdir("idx-snap"));
+            let (n, seed) = (stream.n, 7 * trial + 1);
+            let rec = crash_and_recover(
+                &wal_dir,
+                &snap_dir,
+                &stream,
+                crash_at,
+                one_shard(tight_cfg(trial), batch_size),
+                move || forest(n, seed),
+            );
+            let at = format!("batch {batch_size}, trial {trial}");
+            assert_eq!(rec.offset as usize, crash_at, "{at}");
+            assert_eq!(rec.wal_torn_bytes, 0, "no corruption was injected");
 
-        // Bit-exactness against an uninterrupted run over the same prefix.
-        let mut reference = forest(stream.n, 7 * trial + 1);
-        for u in &stream.updates[..crash_at] {
-            reference.apply_update(u).unwrap();
-        }
-        assert_eq!(
-            encoded(&rec.sketch),
-            encoded(&reference),
-            "trial {trial}: recovered sketch diverges from uninterrupted run"
-        );
+            // Bit-exactness against an uninterrupted run over the same prefix.
+            let mut reference = forest(n, seed);
+            for u in &stream.updates[..crash_at] {
+                reference.apply_update(u).unwrap();
+            }
+            assert_eq!(
+                encoded(&rec.sketch),
+                encoded(&reference),
+                "{at}: recovered sketch diverges from uninterrupted run"
+            );
 
-        // Finish the stream on both; every query must agree.
-        let mut recovered = rec.sketch;
-        for u in &stream.updates[crash_at..] {
-            recovered.apply_update(u).unwrap();
-            reference.apply_update(u).unwrap();
+            // Finish the stream on both; every query must agree.
+            let mut recovered = rec.sketch;
+            for u in &stream.updates[crash_at..] {
+                recovered.apply_update(u).unwrap();
+                reference.apply_update(u).unwrap();
+            }
+            assert_eq!(
+                recovered.try_component_count().ok(),
+                reference.try_component_count().ok()
+            );
+            assert_eq!(encoded(&recovered), encoded(&reference));
+            fs::remove_dir_all(&wal_dir).unwrap();
+            fs::remove_dir_all(&snap_dir).unwrap();
         }
-        assert_eq!(
-            recovered.try_component_count().ok(),
-            reference.try_component_count().ok()
-        );
-        assert_eq!(encoded(&recovered), encoded(&reference));
-        fs::remove_dir_all(&wal_dir).unwrap();
-        fs::remove_dir_all(&snap_dir).unwrap();
+        if batch_size > 1 {
+            assert!(
+                mid_batch_crashes > 0,
+                "no crash left logged, unapplied updates in the buffer"
+            );
+        }
     }
 }
 
@@ -145,19 +186,21 @@ fn torn_writes_and_bit_flips_in_the_wal_tail_recover_a_prefix() {
         let crash_at = rng.gen_range(8..=stream.len());
         let (wal_dir, snap_dir) = (tmpdir("tear-wal"), tmpdir("tear-snap"));
         let cfg = tight_cfg(trial);
-        let mut ing = CheckpointedIngestor::create(
+        let n = stream.n;
+        let mut ing = SupervisedIngestor::create(
             &wal_dir,
             &snap_dir,
-            stream.n,
+            n,
             stream.max_rank,
-            cfg,
-            forest(stream.n, trial),
+            one_shard(cfg, 1),
+            move |_| forest(n, trial),
         )
         .unwrap();
         for u in &stream.updates[..crash_at] {
-            ing.ingest(u).unwrap();
+            ing.push(u).unwrap();
         }
         let seg = crash_at / cfg.wal.segment_records as usize;
+        let store = ing.shard_store(0).clone();
         drop(ing);
 
         // Injected fault: tear bytes off the active segment, or flip a bit
@@ -172,7 +215,6 @@ fn torn_writes_and_bit_flips_in_the_wal_tail_recover_a_prefix() {
             fs::write(&seg_path, with_bit_flipped(&bytes, bit)).unwrap();
         }
 
-        let store = CheckpointStore::open(&snap_dir, cfg.snapshot_seed).unwrap();
         let driver = RecoveryDriver::new(&wal_dir, store);
         match driver.recover(|_, _| forest(stream.n, trial)) {
             Ok(rec) => {
@@ -212,8 +254,8 @@ fn vertex_connectivity_queries_answer_identically_after_recovery() {
             &snap_dir,
             &stream,
             crash_at,
-            tight_cfg(100 + trial),
-            || vconn(n, 13 * trial + 5),
+            one_shard(tight_cfg(100 + trial), 1),
+            move || vconn(n, 13 * trial + 5),
         );
         assert_eq!(rec.offset as usize, crash_at);
 
@@ -263,19 +305,20 @@ fn snapshot_bit_flips_are_skipped_never_trusted() {
     // replay) and still recovers the exact durable prefix.
     let stream = workload(31, 12);
     let (wal_dir, snap_dir) = (tmpdir("flip-wal"), tmpdir("flip-snap"));
-    let cfg = tight_cfg(9);
-    let mut ing = CheckpointedIngestor::create(
+    let n = stream.n;
+    let mut ing = SupervisedIngestor::create(
         &wal_dir,
         &snap_dir,
-        stream.n,
+        n,
         stream.max_rank,
-        cfg,
-        forest(stream.n, 3),
+        one_shard(tight_cfg(9), 1),
+        move |_| forest(n, 3),
     )
     .unwrap();
     for u in &stream.updates {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
+    let store = ing.shard_store(0).clone();
     drop(ing);
 
     let mut reference = forest(stream.n, 3);
@@ -284,7 +327,6 @@ fn snapshot_bit_flips_are_skipped_never_trusted() {
     }
     let reference_bytes = encoded(&reference);
 
-    let store = CheckpointStore::open(&snap_dir, cfg.snapshot_seed).unwrap();
     let snaps = store.offsets().unwrap();
     assert!(
         snaps.len() >= 2,
@@ -294,7 +336,7 @@ fn snapshot_bit_flips_are_skipped_never_trusted() {
     for round in 0..24 {
         // Corrupt one random snapshot (keep the pristine bytes to restore).
         let victim = snaps[rng.gen_range(0..snaps.len())];
-        let path = snap_dir.join(format!("snap-{victim:012}.ckpt"));
+        let path = store.dir().join(format!("snap-{victim:012}.ckpt"));
         let pristine = fs::read(&path).unwrap();
         let bit = rng.gen_range(0..pristine.len() * 8);
         fs::write(&path, with_bit_flipped(&pristine, bit)).unwrap();
@@ -322,7 +364,7 @@ fn snapshot_bit_flips_are_skipped_never_trusted() {
 
     // All snapshots corrupted at once: full-log replay, still exact.
     for &off in &snaps {
-        let path = snap_dir.join(format!("snap-{off:012}.ckpt"));
+        let path = store.dir().join(format!("snap-{off:012}.ckpt"));
         let bytes = fs::read(&path).unwrap();
         let bit = rng.gen_range(0..bytes.len() * 8);
         fs::write(&path, with_bit_flipped(&bytes, bit)).unwrap();
@@ -342,27 +384,29 @@ fn snapshot_truncated_at_every_byte_never_panics_never_lies() {
     // must fall back to full-log replay and still be exact, at every cut.
     let stream = workload(32, 10);
     let (wal_dir, snap_dir) = (tmpdir("cut-wal"), tmpdir("cut-snap"));
+    // One snapshot, taken when the last update is flushed.
     let cfg = CheckpointConfig {
         wal: WalConfig {
             segment_records: 64,
             seed: 5,
         },
-        snapshot_interval: u64::MAX,
+        snapshot_interval: stream.len() as u64,
         snapshot_seed: 5,
     };
-    let mut ing = CheckpointedIngestor::create(
+    let n = stream.n;
+    let mut ing = SupervisedIngestor::create(
         &wal_dir,
         &snap_dir,
-        stream.n,
+        n,
         stream.max_rank,
-        cfg,
-        forest(stream.n, 11),
+        one_shard(cfg, 1),
+        move |_| forest(n, 11),
     )
     .unwrap();
     for u in &stream.updates {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
-    ing.checkpoint_now().unwrap();
+    let store = ing.shard_store(0).clone();
     drop(ing);
 
     let mut reference = forest(stream.n, 11);
@@ -371,9 +415,9 @@ fn snapshot_truncated_at_every_byte_never_panics_never_lies() {
     }
     let reference_bytes = encoded(&reference);
 
-    let store = CheckpointStore::open(&snap_dir, cfg.snapshot_seed).unwrap();
+    assert_eq!(store.offsets().unwrap(), vec![stream.len() as u64]);
     let off = store.offsets().unwrap()[0];
-    let path = snap_dir.join(format!("snap-{off:012}.ckpt"));
+    let path = store.dir().join(format!("snap-{off:012}.ckpt"));
     let pristine = fs::read(&path).unwrap();
     // Every byte of the magic + manifest frame region, then a stride
     // through the (much larger) sketch payload.
@@ -458,7 +502,7 @@ fn wal_truncated_at_every_byte_recovers_a_prefix_or_fails_typed() {
 
 #[test]
 fn resumed_ingestion_after_crash_matches_uninterrupted_run() {
-    // End-to-end: crash, resume with CheckpointedIngestor::resume, finish
+    // End-to-end: crash, resume with SupervisedIngestor::resume, finish
     // the stream, and compare against a run that never crashed — including
     // a second crash-resume cycle.
     let stream = workload(34, 12);
@@ -466,58 +510,39 @@ fn resumed_ingestion_after_crash_matches_uninterrupted_run() {
     assert!(len >= 6, "workload too small");
     let (c1, c2) = (len / 3, 2 * len / 3);
     let (wal_dir, snap_dir) = (tmpdir("res-wal"), tmpdir("res-snap"));
-    let cfg = tight_cfg(17);
+    let cfg = one_shard(tight_cfg(17), 1);
+    let (n, max_rank) = (stream.n, stream.max_rank);
+    let build = move |_: usize| forest(n, 29);
 
-    let mut ing = CheckpointedIngestor::create(
-        &wal_dir,
-        &snap_dir,
-        stream.n,
-        stream.max_rank,
-        cfg,
-        forest(stream.n, 29),
-    )
-    .unwrap();
+    let mut ing = SupervisedIngestor::create(&wal_dir, &snap_dir, n, max_rank, cfg, build).unwrap();
     for u in &stream.updates[..c1] {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
     drop(ing); // crash 1
 
-    let (mut ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
-        &wal_dir,
-        &snap_dir,
-        stream.n,
-        stream.max_rank,
-        cfg,
-        |_, _| forest(stream.n, 29),
-    )
-    .unwrap();
-    assert_eq!(rec.offset as usize, c1);
+    let (mut ing, offset) =
+        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, max_rank, cfg, build).unwrap();
+    assert_eq!(offset as usize, c1);
     for u in &stream.updates[c1..c2] {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
     drop(ing); // crash 2
 
-    let (mut ing, rec) = CheckpointedIngestor::<SpanningForestSketch>::resume(
-        &wal_dir,
-        &snap_dir,
-        stream.n,
-        stream.max_rank,
-        cfg,
-        |_, _| forest(stream.n, 29),
-    )
-    .unwrap();
-    assert_eq!(rec.offset as usize, c2);
+    let (mut ing, offset) =
+        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, max_rank, cfg, build).unwrap();
+    assert_eq!(offset as usize, c2);
     for u in &stream.updates[c2..] {
-        ing.ingest(u).unwrap();
+        ing.push(u).unwrap();
     }
 
     let mut reference = forest(stream.n, 29);
     for u in &stream.updates {
         reference.apply_update(u).unwrap();
     }
-    assert_eq!(encoded(ing.sketch()), encoded(&reference));
+    assert_eq!(ing.shard_encoded(0), encoded(&reference));
+    let boosted = ing.finish().unwrap();
     assert_eq!(
-        ing.sketch().try_component_count().ok(),
+        boosted.sketches()[0].try_component_count().ok(),
         reference.try_component_count().ok()
     );
     fs::remove_dir_all(&wal_dir).unwrap();
@@ -537,9 +562,15 @@ fn batched_wal_replay_is_bit_identical_and_reports_exact_offsets() {
     let (wal_dir, snap_dir) = (tmpdir("batch-wal"), tmpdir("batch-snap"));
     let mut cfg = tight_cfg(1);
     cfg.snapshot_interval = u64::MAX; // wal-only: recovery is pure replay
-    let rec = crash_and_recover(&wal_dir, &snap_dir, &stream, stream.len(), cfg, || {
-        forest(stream.n, 3)
-    });
+    let n = stream.n;
+    let rec = crash_and_recover(
+        &wal_dir,
+        &snap_dir,
+        &stream,
+        stream.len(),
+        one_shard(cfg, 1),
+        move || forest(n, 3),
+    );
     assert_eq!(rec.from_snapshot, None, "replay must cover the whole log");
     let mut reference = forest(stream.n, 3);
     for u in &stream.updates {

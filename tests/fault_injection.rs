@@ -292,7 +292,8 @@ fn boosting_drives_the_failure_rate_down() {
     // to sample roughly a fifth of the time. (The top-level forest decode
     // hides that δ — Borůvka's cascading merges finish well inside the
     // round budget, so its end-to-end failure rate is near zero even with
-    // these parameters; `parallel.rs` covers boosting that structure.)
+    // these parameters; `dgs_core::ingest`'s tests cover boosting that
+    // structure.)
     //
     // R sibling-seeded repetitions of the same sampler over the same
     // vector must (a) answer correctly whenever any repetition answers,

@@ -109,10 +109,6 @@ fn spill_migration_is_byte_identical_to_direct_sketch_ingest() {
     let tail = 20;
     for seed in [13u64, 37, 59] {
         let updates = workload(seed, tail);
-        let pairs: Vec<(HyperEdge, i64)> = updates
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
         for (ci, cfg) in thresholds().into_iter().enumerate() {
             // Scalar references: one hybrid and one direct sketch per
             // repetition, with a live registry proving the state machine
@@ -187,8 +183,8 @@ fn spill_migration_is_byte_identical_to_direct_sketch_ingest() {
                 for batch in [1usize, 5, 16, 64] {
                     let mut ing =
                         ShardedIngestor::with_build(REPS, threads, batch, |i| hybrid(seed, i, cfg));
-                    for (e, d) in &pairs {
-                        ing.push(e, *d).expect("push");
+                    for u in &updates {
+                        ing.push(u).expect("push");
                     }
                     let boosted = ing.finish().expect("finish");
                     let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();

@@ -4,6 +4,7 @@
 //! old proptest strategies).
 
 use dgs_field::prng::*;
+use dgs_field::{Codec, Writer};
 use dynamic_graph_streams::prelude::*;
 
 use dgs_hypergraph::algo;
@@ -89,6 +90,107 @@ fn sketch_addition_is_graph_union() {
         a.add_assign_sketch(&b);
         assert_eq!(a.decode(), full.decode(), "trial {trial}");
     }
+}
+
+fn encoded<T: Codec>(t: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    t.encode(&mut w);
+    w.into_bytes()
+}
+
+/// A churn stream over a random graph on `n` vertices.
+fn churn(n: usize, p: f64, seed: u64) -> UpdateStream {
+    use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let h = Hypergraph::from_graph(&gnp(n, p, &mut rng));
+    churn_stream(&h, ChurnConfig::default(), &mut rng)
+}
+
+/// Ingests `stream` in `shards` contiguous chunks, each into a fresh
+/// same-seeded sketch from `build`, and folds the shards with `add` —
+/// by linearity the fold is the serial sketch of the whole stream.
+fn shard_and_fold<S: Recoverable>(
+    stream: &UpdateStream,
+    shards: usize,
+    build: impl Fn() -> S,
+    add: impl Fn(&mut S, &S),
+) -> S {
+    let chunk = stream.len().div_ceil(shards).max(1);
+    let mut parts = stream.updates.chunks(chunk).map(|part| {
+        let mut s = build();
+        for u in part {
+            s.apply_update(u).unwrap();
+        }
+        s
+    });
+    let mut acc = parts.next().unwrap_or_else(&build);
+    for part in parts {
+        add(&mut acc, &part);
+    }
+    acc
+}
+
+fn ingest_serial<S: Recoverable>(stream: &UpdateStream, mut sketch: S) -> S {
+    for u in &stream.updates {
+        sketch.apply_update(u).unwrap();
+    }
+    sketch
+}
+
+/// Linearity under sharding: per-shard forest sketches of a churn stream,
+/// summed, are byte-identical to serial ingestion.
+#[test]
+fn sharded_forest_equals_serial() {
+    let stream = churn(20, 0.3, 1);
+    let space = EdgeSpace::graph(20).unwrap();
+    let params = ForestParams::new(Profile::Practical, space.dimension());
+    let seeds = SeedTree::new(10);
+    let build = || SpanningForestSketch::new_full(space.clone(), &seeds, params);
+    let serial = ingest_serial(&stream, build());
+    for shards in [1usize, 2, 4, 7] {
+        let folded = shard_and_fold(&stream, shards, build, |a, b| a.add_assign_sketch(b));
+        assert_eq!(encoded(&folded), encoded(&serial), "{shards} shards");
+        assert_eq!(folded.decode(), serial.decode(), "{shards} shards");
+    }
+}
+
+/// Linearity under sharding for the vertex-connectivity sketch (Thm 4).
+#[test]
+fn sharded_vertex_conn_equals_serial() {
+    let stream = churn(16, 0.4, 2);
+    let space = EdgeSpace::graph(16).unwrap();
+    let cfg = VertexConnConfig::query(2, 16, 1.5, Profile::Practical);
+    let seeds = SeedTree::new(11);
+    let build = || VertexConnSketch::new(space.clone(), cfg, &seeds);
+    let serial = ingest_serial(&stream, build());
+    let folded = shard_and_fold(&stream, 3, build, |a, b| a.add_assign_sketch(b));
+    assert_eq!(encoded(&folded), encoded(&serial));
+    assert_eq!(
+        folded.certificate().union.edges(),
+        serial.certificate().union.edges()
+    );
+}
+
+/// Linearity under sharding for the hypergraph sparsifier (Thm 19/20).
+#[test]
+fn sharded_sparsifier_equals_serial() {
+    let stream = churn(12, 0.5, 3);
+    let space = EdgeSpace::graph(12).unwrap();
+    let cfg = SparsifierConfig::explicit(
+        3,
+        6,
+        ForestParams::new(Profile::Practical, space.dimension()),
+    );
+    let seeds = SeedTree::new(12);
+    let build = || HypergraphSparsifier::new(space.clone(), cfg, &seeds);
+    let serial = ingest_serial(&stream, build());
+    let folded = shard_and_fold(&stream, 4, build, |a, b| a.add_assign_sketch(b));
+    assert_eq!(encoded(&folded), encoded(&serial));
+    let (a, b) = (serial.decode(), folded.decode());
+    assert_eq!(a.per_level, b.per_level);
+    let ea: Vec<_> = a.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
+    let eb: Vec<_> = b.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
+    assert_eq!(ea, eb);
 }
 
 /// Update order never matters (streams are linear functionals).
@@ -186,29 +288,22 @@ fn light_recovery_equals_strength_filter() {
 /// path aggregates away in the field).
 #[test]
 fn batched_ingest_encodes_byte_identical_to_sequential() {
-    use dgs_field::{Codec, Writer};
-    fn encoded<T: Codec>(t: &T) -> Vec<u8> {
-        let mut w = Writer::new();
-        t.encode(&mut w);
-        w.into_bytes()
-    }
     let n = 12;
     let mut rng = StdRng::seed_from_u64(0x75);
     for trial in 0..6u64 {
-        let stream = random_stream(n, 120, &mut rng);
-        let mut pairs: Vec<(HyperEdge, i64)> = stream
-            .updates
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
+        let mut updates = random_stream(n, 120, &mut rng).updates;
         // Salt with cancelling insert/delete pairs at random positions.
         for _ in 0..10 {
             let a = rng.gen_range(0u32..n as u32);
             let b = (a + 1 + rng.gen_range(0u32..(n - 1) as u32)) % n as u32;
-            let at = rng.gen_range(0..=pairs.len());
-            pairs.insert(at, (HyperEdge::pair(a, b), -1));
-            pairs.insert(at, (HyperEdge::pair(a, b), 1));
+            let at = rng.gen_range(0..=updates.len());
+            updates.insert(at, Update::delete(HyperEdge::pair(a, b)));
+            updates.insert(at, Update::insert(HyperEdge::pair(a, b)));
         }
+        let pairs: Vec<(HyperEdge, i64)> = updates
+            .iter()
+            .map(|u| (u.edge.clone(), u.op.delta()))
+            .collect();
         let space = EdgeSpace::graph(n).unwrap();
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let seeds = SeedTree::new(0xF0 + trial);
@@ -243,14 +338,14 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
             SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params)
         };
         let mut serial = BoostedQuery::new(3, build);
-        for (e, d) in &pairs {
-            serial.try_update(e, *d).unwrap();
+        for u in &updates {
+            serial.try_update(u).unwrap();
         }
         let expected_reps: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
         for (threads, batch) in [(1usize, 7usize), (2, 64), (3, 256)] {
             let mut ing = ShardedIngestor::with_build(3, threads, batch, build);
-            for (e, d) in &pairs {
-                ing.push(e, *d).unwrap();
+            for u in &updates {
+                ing.push(u).unwrap();
             }
             let boosted = ing.finish().unwrap();
             let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
@@ -271,12 +366,6 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
 /// left over from a previous scope would surface as a byte difference.
 #[test]
 fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
-    use dgs_field::{Codec, Writer};
-    fn encoded<T: Codec>(t: &T) -> Vec<u8> {
-        let mut w = Writer::new();
-        t.encode(&mut w);
-        w.into_bytes()
-    }
     let n = 12;
     let mut rng = StdRng::seed_from_u64(0xD00F);
     let stream = random_stream(n, 140, &mut rng);
@@ -298,8 +387,8 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
     let build =
         |i: usize| SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params);
     let mut serial = BoostedQuery::new(5, build);
-    for (e, d) in &pairs {
-        serial.try_update(e, *d).unwrap();
+    for u in &stream.updates {
+        serial.try_update(u).unwrap();
     }
     let expected_reps: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
 
@@ -316,8 +405,8 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
             assert_eq!(encoded(&sk), expected, "striped t={threads}, b={batch}");
 
             let mut ing = ShardedIngestor::with_build(5, threads, batch, build);
-            for (j, (e, d)) in pairs.iter().enumerate() {
-                ing.push(e, *d).unwrap();
+            for (j, u) in stream.updates.iter().enumerate() {
+                ing.push(u).unwrap();
                 // Mid-batch drains at a stride coprime to every batch size.
                 if j % 17 == 0 {
                     ing.flush().unwrap();
