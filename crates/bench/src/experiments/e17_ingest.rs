@@ -3,7 +3,7 @@
 //! The batched SoA kernels (`SpanningForestSketch::try_update_batch`) hoist
 //! hashing, level selection, and fingerprint exponentiation out of the
 //! per-update loop and share one `L0Plan` across every vertex row of a
-//! round; `try_update_batch_striped` and `dgs_core::ShardedIngestor` then
+//! round; `try_update_batch_striped` and `BoostedQuery::apply_batch` then
 //! stripe independent rows / boosted repetitions across the persistent
 //! sticky worker pool (`dgs_pool::StickyPool`). Because the field is exact
 //! and assignment is deterministic, every variant is bit-identical to the
@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use dgs_connectivity::SpanningForestSketch;
-use dgs_core::{BoostedQuery, ShardedIngestor};
+use dgs_core::BoostedQuery;
 use dgs_field::prng::*;
 use dgs_field::{Codec, SeedTree, Writer};
 use dgs_hypergraph::generators::gnm;
@@ -205,7 +205,7 @@ pub fn measure(quick: bool) -> Measurement {
         }
     }
 
-    // Boosted repetitions: scalar loop vs the sharded batched ingestor.
+    // Boosted repetitions: scalar loop vs striped batches.
     // Throughput counts stream updates (each costs `r` repetition updates).
     let r = 4usize;
     let seeds = SeedTree::new(seed);
@@ -242,12 +242,11 @@ pub fn measure(quick: bool) -> Measurement {
         let mut best = 0.0f64;
         let mut exact = false;
         for _ in 0..trials {
-            let mut ing = ShardedIngestor::with_build(r, t, CROSSOVER_BATCH, build);
+            let mut q = BoostedQuery::new(r, build);
             let t0 = Instant::now();
-            for u in &updates {
-                ing.push(u).expect("sharded push");
+            for batch in updates.chunks(CROSSOVER_BATCH) {
+                q.apply_batch(batch, t).expect("striped boosted batch");
             }
-            let q = ing.finish().expect("sharded finish");
             let ups = m as f64 / t0.elapsed().as_secs_f64();
             if ups > best {
                 best = ups;

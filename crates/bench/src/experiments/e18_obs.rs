@@ -25,8 +25,8 @@
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BoostedQuery, CheckpointConfig, QueryOutcome, RecoveryDriver, ShardedIngestor,
-    SupervisedIngestor, SupervisorConfig,
+    BoostedQuery, CheckpointConfig, QueryOutcome, RecoveryDriver, SupervisedIngestor,
+    SupervisorConfig,
 };
 use dgs_field::prng::*;
 use dgs_field::SeedTree;
@@ -343,14 +343,14 @@ pub fn check(baseline_path: &str) -> bool {
 }
 
 /// `experiments obs-report` — drives one representative workload through
-/// every instrumented subsystem (forest batch ingest + decode, the sharded
-/// boosted ingestor, WAL + checkpoint + recovery, fault injection) with a
-/// single traced registry attached, then dumps the registry in Prometheus
-/// text format followed by the JSON export.
+/// every instrumented subsystem (forest batch ingest + decode, striped
+/// boosted batches, WAL + checkpoint + recovery, fault injection) with a
+/// single registry attached, then dumps the registry in Prometheus text
+/// format followed by the JSON export.
 pub fn obs_report(quick: bool) {
     let n: usize = if quick { 32 } else { 64 };
     let seed = 0x0B5;
-    let registry = Registry::with_trace(256);
+    let registry = Registry::new();
     let sink = registry.sink();
     let mut rng = StdRng::seed_from_u64(seed);
     let h = Hypergraph::from_graph(&gnm(n, 3 * n, &mut rng));
@@ -372,17 +372,20 @@ pub fn obs_report(quick: bool) {
     }
     let _ = sketch.try_component_count();
 
-    // Sharded boosted ingestion: per-shard throughput counters, queue
-    // depth, flush latency.
+    // Striped boosted batches: the pool's per-worker busy time and
+    // mailbox depth show the stripe balance; one boosted decode feeds the
+    // `dgs_core_boost_*` outcome counters.
     let seeds = SeedTree::new(seed ^ 0xB00);
-    let mut ingestor = ShardedIngestor::with_build(4, 2, 256, |i| {
+    let mut boosted = BoostedQuery::new(4, |i| {
         SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), lean_forest())
     });
-    ingestor.set_sink(&sink);
-    for u in &stream.updates {
-        ingestor.push(u).expect("sharded push");
+    boosted.set_sink(&sink);
+    for batch in stream.updates.chunks(256) {
+        boosted
+            .apply_batch(batch, 2)
+            .expect("striped boosted batch");
     }
-    let _ = ingestor.finish().expect("sharded finish");
+    let _ = boosted.query(|s| s.try_component_count());
 
     // Durability: WAL appends, one snapshot when the last update is
     // flushed, and a recovery pass.

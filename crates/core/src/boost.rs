@@ -10,25 +10,31 @@
 //! first repetition whose decode certifies. The repetitions are mutually
 //! independent, so the probability that *all* fail is `δ^R`.
 //!
-//! [`BoostedQuery`] packages that pattern. Resolution policies:
+//! [`BoostedQuery`] packages that pattern:
 //!
-//! * [`query`](BoostedQuery::query) — first success. Correct whenever
-//!   failures are detected (the workspace invariant), which makes every
-//!   success equally trustworthy; this is the paper's implicit
-//!   "repeat `O(log n)` times" device.
-//! * [`query_majority`](BoostedQuery::query_majority) — majority vote over
-//!   the successful repetitions. Strictly more conservative: it also
-//!   guards against *undetected* wrong answers (e.g. adversarial stream
-//!   corruption below the detection threshold), at the cost of decoding
-//!   every repetition.
+//! * [`query`](BoostedQuery::query) resolves by **first success**. Correct
+//!   whenever failures are detected (the workspace invariant), which makes
+//!   every success equally trustworthy; this is the paper's implicit
+//!   "repeat `O(log n)` times" device. It short-circuits on
+//!   [`SketchError::InvalidInput`]: a malformed stream poisons every
+//!   repetition identically, so retrying is useless and the outcome is
+//!   [`QueryOutcome::Invalid`]. Majority voting, which also guards against
+//!   *undetected* wrong answers, is [`QueryPolicy::Majority`] of
+//!   [`query_ensemble`].
+//! * [`apply_batch`](BoostedQuery::apply_batch) ingests a batch into every
+//!   repetition, striped across the caller thread's sticky worker pool.
+//!   Each repetition's sketch is independent, so no cross-thread merging is
+//!   needed and the striping cannot change a bit.
 //!
-//! Both short-circuit on [`SketchError::InvalidInput`]: a malformed stream
-//! poisons every repetition identically, so retrying is useless and the
-//! outcome is [`QueryOutcome::Invalid`].
+//! The supervisor's flush ([`SupervisedIngestor`]) stripes its shards
+//! through the same routine, so a boosted ensemble is striped one way, with
+//! one panic contract, at every thread count.
 //!
-//! Sharded ingestion: [`crate::ingest::ShardedIngestor`] stripes the `R`
-//! repetitions across the worker pool (each repetition's sketch is
-//! independent, so no cross-thread merging is needed).
+//! [`QueryPolicy::Majority`]: crate::supervise::QueryPolicy::Majority
+//! [`query_ensemble`]: crate::supervise::query_ensemble
+//! [`SupervisedIngestor`]: crate::supervise::SupervisedIngestor
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dgs_hypergraph::Update;
 use dgs_obs::{Counter, Histogram, MetricsSink};
@@ -112,12 +118,14 @@ impl BoostMetrics {
     }
 }
 
-/// `R` independent same-structure repetitions resolving queries by
-/// first-success or majority (see the module docs).
+/// `R` independent same-structure repetitions, ingested batch by batch
+/// and resolving queries by first success (see the module docs).
 #[derive(Clone, Debug)]
 pub struct BoostedQuery<S> {
     repetitions: Vec<S>,
     metrics: BoostMetrics,
+    /// Attached to the striping pool on every [`apply_batch`](Self::apply_batch).
+    sink: MetricsSink,
 }
 
 impl<S> BoostedQuery<S> {
@@ -131,25 +139,29 @@ impl<S> BoostedQuery<S> {
         BoostedQuery {
             repetitions: (0..r).map(&mut build).collect(),
             metrics: BoostMetrics::default(),
+            sink: MetricsSink::null(),
         }
     }
 
-    /// Wraps already-built repetitions (used by sharded ingestion).
+    /// Wraps already-built repetitions (used by the supervisor's `finish`).
     pub fn from_repetitions(repetitions: Vec<S>) -> BoostedQuery<S> {
         assert!(!repetitions.is_empty(), "need at least one repetition");
         BoostedQuery {
             repetitions,
             metrics: BoostMetrics::default(),
+            sink: MetricsSink::null(),
         }
     }
 
     /// Attach metric handles resolved from `sink` (`dgs_core_boost_*`:
     /// outcome counters and the repetitions-until-success distribution the
-    /// `δ^R` bound governs). Only the query-resolution layer is
-    /// instrumented here — to also observe the underlying sketches, set
-    /// their sinks before wrapping them. Default is the null sink.
+    /// `δ^R` bound governs). [`apply_batch`](Self::apply_batch) also
+    /// attaches it to the striping pool's per-worker metrics (`dgs_pool_*`).
+    /// To also observe the underlying sketches, set their sinks before
+    /// wrapping them. Default is the null sink.
     pub fn set_sink(&mut self, sink: &MetricsSink) {
         self.metrics = BoostMetrics::resolve(sink);
+        self.sink = sink.clone();
     }
 
     /// Number of repetitions `R`.
@@ -194,45 +206,6 @@ impl<S> BoostedQuery<S> {
             failed_repetitions: failed,
         }
     }
-
-    /// Resolves a query by **majority vote** over the successful
-    /// repetitions (ties break toward the smallest answer, so the result
-    /// is deterministic). Decodes every repetition.
-    pub fn query_majority<T: Ord + Clone>(
-        &self,
-        q: impl Fn(&S) -> SketchResult<T>,
-    ) -> QueryOutcome<T> {
-        let mut votes: std::collections::BTreeMap<T, usize> = std::collections::BTreeMap::new();
-        let mut failed = 0;
-        for s in &self.repetitions {
-            match q(s) {
-                Ok(value) => *votes.entry(value).or_insert(0) += 1,
-                Err(e) if e.is_retryable() => failed += 1,
-                Err(e) => {
-                    self.metrics.invalid.inc();
-                    return QueryOutcome::Invalid(e);
-                }
-            }
-        }
-        match votes.into_iter().max_by_key(|&(_, n)| n) {
-            Some((value, _)) => {
-                self.metrics.answers.inc();
-                self.metrics
-                    .repetitions_until_success
-                    .record(failed as u64 + 1);
-                QueryOutcome::Answer {
-                    value,
-                    failed_repetitions: failed,
-                }
-            }
-            None => {
-                self.metrics.unknowns.inc();
-                QueryOutcome::Unknown {
-                    failed_repetitions: failed,
-                }
-            }
-        }
-    }
 }
 
 impl<S: Recoverable> BoostedQuery<S> {
@@ -247,6 +220,91 @@ impl<S: Recoverable> BoostedQuery<S> {
         }
         Ok(())
     }
+
+    /// Applies a batch to every repetition through
+    /// [`Recoverable::apply_batch`], striping the repetitions over
+    /// `min(threads, R)` workers of the caller thread's sticky pool (one
+    /// stripe runs inline). The final states are bit-identical to
+    /// [`try_update`](Self::try_update) over the same updates at every
+    /// `threads` and every way of cutting the stream into batches.
+    ///
+    /// Every repetition keeps the applied-prefix contract: an invalid
+    /// update leaves the valid prefix before it applied in each repetition.
+    /// Returns the first error in repetition order. A repetition that
+    /// panics yields a (retryable) [`SketchError::SketchFailure`]; its
+    /// cells may be torn, so drop the ensemble and rebuild it from the
+    /// stream.
+    #[must_use = "a dropped SketchResult hides a sketch failure"]
+    pub fn apply_batch(&mut self, batch: &[Update], threads: usize) -> SketchResult<()>
+    where
+        S: Send,
+    {
+        let results = apply_striped(
+            &mut self.repetitions,
+            threads,
+            &self.sink,
+            |s| s.apply_batch(batch).map_err(|(_, e)| e),
+            |_| Err(SketchError::failure("boosted-query", "repetition panicked")),
+        );
+        results.into_iter().collect()
+    }
+}
+
+/// Runs `apply` on every item, striped across the caller thread's sticky
+/// pool, and returns the results in item order. This is the one place that
+/// maps boosted repetitions to pool workers.
+///
+/// The items are cut into `stripes = min(threads, items.len())` contiguous
+/// runs (the first `items.len() % stripes` one item longer), and run `t`
+/// always goes to pool worker `t`: while the item count holds, an item
+/// stays on one worker call after call. A single stripe runs inline on the
+/// caller. A panic in `apply` is caught per item on either path and that
+/// item's result is `panicked(item)`: its stripe-mates still run, and the
+/// pool's own panic flag never trips. `sink` is attached to the pool's
+/// metrics.
+pub(crate) fn apply_striped<T: Send, R: Send>(
+    items: &mut [T],
+    threads: usize,
+    sink: &MetricsSink,
+    apply: impl Fn(&mut T) -> R + Sync,
+    panicked: impl Fn(&T) -> R,
+) -> Vec<R> {
+    let n = items.len();
+    let stripes = threads.min(n);
+    if stripes <= 1 {
+        return items
+            .iter_mut()
+            .map(|item| {
+                catch_unwind(AssertUnwindSafe(|| apply(&mut *item)))
+                    .unwrap_or_else(|_| panicked(item))
+            })
+            .collect();
+    }
+    let mut done: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let (mut rest, mut slots) = (&mut *items, &mut done[..]);
+    let apply = &apply;
+    dgs_pool::with_local_pool(stripes, |pool| {
+        pool.set_sink(sink);
+        pool.scope(|scope| {
+            for t in 0..stripes {
+                let len = n / stripes + usize::from(t < n % stripes);
+                let (stripe, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                let (out, tail) = std::mem::take(&mut slots).split_at_mut(len);
+                slots = tail;
+                scope.spawn(t, move || {
+                    for (item, slot) in stripe.iter_mut().zip(out) {
+                        *slot = catch_unwind(AssertUnwindSafe(|| apply(item))).ok();
+                    }
+                });
+            }
+        });
+    });
+    items
+        .iter()
+        .zip(done)
+        .map(|(item, r)| r.unwrap_or_else(|| panicked(item)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -254,6 +312,12 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use dgs_connectivity::{ForestParams, SpanningForestSketch};
+    use dgs_field::prng::*;
+    use dgs_field::{Codec, Reader, SeedTree, Writer};
+    use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
+    use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
+    use dgs_sketch::Profile;
 
     /// A stub sketch whose query fails for repetition indices below the
     /// threshold — exercises the resolution policies deterministically.
@@ -311,28 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn majority_prefers_the_common_answer() {
-        let b = BoostedQuery::new(5, |index| Stub {
-            index,
-            answer: if index == 0 { 7 } else { 42 },
-        });
-        let out = b.query_majority(|s| {
-            if s.index == 3 {
-                Err(SketchError::failure("stub", "one failure"))
-            } else {
-                Ok(s.answer)
-            }
-        });
-        assert_eq!(
-            out,
-            QueryOutcome::Answer {
-                value: 42,
-                failed_repetitions: 1
-            }
-        );
-    }
-
-    #[test]
     fn outcome_accessors() {
         let a = QueryOutcome::Answer {
             value: 9,
@@ -340,5 +382,151 @@ mod tests {
         };
         assert_eq!(a.answer(), Some(&9));
         assert_eq!(a.into_result().unwrap(), 9);
+    }
+
+    fn encoded<T: Codec>(t: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        t.encode(&mut w);
+        w.into_bytes()
+    }
+
+    fn forest_build<'a>(
+        space: &'a EdgeSpace,
+        seeds: &'a SeedTree,
+        params: ForestParams,
+    ) -> impl Fn(usize) -> SpanningForestSketch + 'a {
+        let space = space.clone();
+        move |i| SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params)
+    }
+
+    #[test]
+    fn striped_apply_batch_is_bit_identical_to_try_update() {
+        let mut rng = StdRng::seed_from_u64(0x1A6E);
+        let h = Hypergraph::from_graph(&gnp(16, 0.3, &mut rng));
+        let stream = churn_stream(&h, ChurnConfig::default(), &mut rng);
+        let space = EdgeSpace::graph(16).unwrap();
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        let seeds = SeedTree::new(0xB005);
+        let build = forest_build(&space, &seeds, params);
+
+        let mut serial = BoostedQuery::new(3, &build);
+        for u in &stream.updates {
+            serial.try_update(u).unwrap();
+        }
+        let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
+
+        // Thread counts cover clamping (5, 8 > 3 repetitions) and batch
+        // sizes straddle the 4-lane field kernels.
+        for threads in [1usize, 2, 3, 5, 8] {
+            for batch_size in [1usize, 3, 4, 5, 8, 256] {
+                let mut boosted = BoostedQuery::new(3, &build);
+                for batch in stream.updates.chunks(batch_size) {
+                    boosted.apply_batch(batch, threads).unwrap();
+                }
+                let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
+                assert_eq!(got, expected, "threads {threads}, batch {batch_size}");
+            }
+        }
+    }
+
+    #[test]
+    fn many_short_batches_reuse_the_pool_identically() {
+        // Many short apply_batch calls on one ensemble: every call re-enters
+        // the cached sticky pool, so a mailbox or barrier left dirty by call
+        // k would corrupt call k+1. Final states must still match
+        // sequential ingestion byte-for-byte.
+        let mut rng = StdRng::seed_from_u64(0x9E05);
+        let h = Hypergraph::from_graph(&gnp(14, 0.35, &mut rng));
+        let stream = churn_stream(&h, ChurnConfig::default(), &mut rng);
+        let space = EdgeSpace::graph(14).unwrap();
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        let seeds = SeedTree::new(0x9E05);
+        let build = forest_build(&space, &seeds, params);
+
+        let mut serial = BoostedQuery::new(4, &build);
+        for u in &stream.updates {
+            serial.try_update(u).unwrap();
+        }
+        let expected: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
+
+        let mut boosted = BoostedQuery::new(4, &build);
+        let mut start = 0;
+        for j in 0..stream.updates.len() {
+            // Cut at the batch size (64) and, mid-batch, on a stride that
+            // never aligns with it, forcing dozens of short pool scopes.
+            if j + 1 - start == 64 || j % 5 == 0 {
+                boosted.apply_batch(&stream.updates[start..=j], 3).unwrap();
+                start = j + 1;
+            }
+        }
+        boosted.apply_batch(&stream.updates[start..], 3).unwrap();
+        let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn invalid_update_leaves_the_valid_prefix_in_every_repetition() {
+        let space = EdgeSpace::graph(6).unwrap();
+        let params = ForestParams::new(Profile::Practical, space.dimension());
+        let seeds = SeedTree::new(6);
+        let build = forest_build(&space, &seeds, params);
+        let valid = Update::insert(HyperEdge::pair(0, 1));
+        let mut prefix = BoostedQuery::new(2, &build);
+        prefix.try_update(&valid).unwrap();
+        let want: Vec<Vec<u8>> = prefix.sketches().iter().map(encoded).collect();
+        for threads in [1usize, 2] {
+            let mut boosted = BoostedQuery::new(2, &build);
+            let batch = [valid.clone(), Update::insert(HyperEdge::pair(0, 77))];
+            let err = boosted.apply_batch(&batch, threads).unwrap_err();
+            assert!(!err.is_retryable(), "threads {threads}: {err}");
+            let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
+            assert_eq!(got, want, "threads {threads}");
+        }
+    }
+
+    /// Counts the updates it applies and panics mid-batch when `fragile`.
+    #[derive(Clone, Debug)]
+    struct Counting {
+        applied: u64,
+        fragile: bool,
+    }
+
+    impl Codec for Counting {
+        fn encode(&self, w: &mut Writer) {
+            w.put_u64(self.applied);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, dgs_field::CodecError> {
+            Ok(Counting {
+                applied: r.get_u64()?,
+                fragile: false,
+            })
+        }
+    }
+
+    impl Recoverable for Counting {
+        fn apply_update(&mut self, _: &Update) -> SketchResult<()> {
+            assert!(!self.fragile || self.applied == 0, "repetition blew up");
+            self.applied += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_repetition_is_an_error_not_an_unwind() {
+        let batch = vec![Update::insert(HyperEdge::pair(0, 1)); 4];
+        for threads in [1usize, 2] {
+            let mut boosted = BoostedQuery::new(3, |i| Counting {
+                applied: 0,
+                fragile: i == 1,
+            });
+            let err = boosted.apply_batch(&batch, threads).unwrap_err();
+            assert!(
+                matches!(err, SketchError::SketchFailure { .. }),
+                "threads {threads}: {err}"
+            );
+            // Only the panicking repetition stopped; its stripe-mates ran.
+            let applied: Vec<u64> = boosted.sketches().iter().map(|s| s.applied).collect();
+            assert_eq!(applied, [4, 1, 4], "threads {threads}");
+        }
     }
 }

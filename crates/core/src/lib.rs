@@ -21,7 +21,7 @@
 //! experiments default to practical sizings whose *scaling shape* matches
 //! the theorems.
 
-// The supervision stack (ingest → boost → checkpoint → supervise) must
+// The supervision stack (boost → checkpoint → supervise) must
 // degrade through typed errors, never panic: `unwrap`/`expect` are denied
 // in these modules' non-test code (tests opt back in locally).
 #[deny(clippy::unwrap_used, clippy::expect_used)]
@@ -31,8 +31,6 @@ pub mod checkpoint;
 pub mod edge_conn;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod hybrid;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
-pub mod ingest;
 pub mod reconstruct;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod service;
@@ -49,7 +47,6 @@ pub use checkpoint::{
 };
 pub use edge_conn::EdgeConnSketch;
 pub use hybrid::{HybridConfig, HybridConnectivitySketch, HybridMode};
-pub use ingest::ShardedIngestor;
 pub use reconstruct::{LightRecovery, LightRecoverySketch};
 pub use service::{
     BreakerConfig, BrownoutConfig, ConnectivityService, Overload, QueryRequest, QueryResponse,

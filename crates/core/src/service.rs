@@ -481,7 +481,8 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
     /// repetition `i` deterministically (rebuilds call it again); WAL and
     /// snapshots land under the given directories, exactly as in
     /// [`SupervisedIngestor::create`]. The initial view is frozen at epoch
-    /// 0 immediately.
+    /// 0 immediately. A taken name is rejected before anything touches the
+    /// directories.
     #[allow(clippy::too_many_arguments)] // mirrors SupervisedIngestor::create
     pub fn add_tenant<F>(
         &self,
@@ -496,6 +497,10 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
     where
         F: Fn(usize) -> S + Send + Sync + 'static,
     {
+        let duplicate = || ServiceError::DuplicateTenant(name.to_string());
+        if lock_read(&self.tenants).contains_key(name) {
+            return Err(duplicate());
+        }
         let mut ingestor = SupervisedIngestor::create(wal_dir, snap_root, n, max_rank, sup, build)?;
         ingestor.set_sink(&self.sink);
         if let Some(tracer) = lock_read(&self.tracer).as_ref() {
@@ -518,9 +523,11 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
             inflight: AtomicUsize::new(0),
             metrics: TenantMetrics::resolve(&self.sink, name),
         });
+        // A concurrent add of the same name may have won the race since
+        // the check above.
         let mut map = lock_write(&self.tenants);
         if map.contains_key(name) {
-            return Err(ServiceError::DuplicateTenant(name.to_string()));
+            return Err(duplicate());
         }
         map.insert(name.to_string(), tenant);
         Ok(())
@@ -1267,6 +1274,12 @@ mod tests {
             svc.add_tenant("t0", &wal2, &snap2, N, 2, sup_cfg(18), forest),
             Err(ServiceError::DuplicateTenant(_))
         ));
+        // The rejected add left no WAL behind, so the directories stay
+        // free for a tenant with a fresh name.
+        assert!(!wal2.join("seg-00000000.wal").exists());
+        svc.add_tenant("t1", &wal2, &snap2, N, 2, sup_cfg(18), forest)
+            .unwrap();
+        assert_eq!(svc.tenants(), ["t0", "t1"]);
         for d in [&wal, &snap, &wal2, &snap2] {
             let _ = std::fs::remove_dir_all(d);
         }

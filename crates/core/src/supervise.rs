@@ -6,8 +6,9 @@
 //! poisoned allocator, a bad disk, or a stalled decode should cost
 //! confidence — the failure probability widens from δ^R to δ^R′ with R′
 //! live members — never correctness and never availability. This module
-//! packages that reading as a supervisor around the sharded ingestion of
-//! [`crate::ingest`] and the durability stack of [`crate::checkpoint`]:
+//! packages that reading as a supervisor around the striped boosted
+//! ingestion of [`crate::boost`] and the durability stack of
+//! [`crate::checkpoint`]:
 //!
 //! * **Per-shard health state machine** — every repetition is a shard with
 //!   a [`ShardState`]: `Healthy → Suspect → Quarantined → Rebuilding →
@@ -50,7 +51,7 @@ use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::BoostedQuery;
+use crate::boost::{apply_striped, BoostedQuery};
 use crate::checkpoint::{
     CheckpointConfig, CheckpointStore, Recoverable, RecoveryDriver, RecoveryError,
 };
@@ -104,8 +105,9 @@ impl std::fmt::Display for ShardState {
 pub struct SupervisorConfig {
     /// Boosted repetitions (= shards) in the ensemble.
     pub repetitions: usize,
-    /// Worker threads for the striped flush (shard `i` → stripe
-    /// `i % threads`, exactly like [`crate::ingest::ShardedIngestor`]).
+    /// Worker threads for the striped flush: the live shards are cut into
+    /// `min(threads, live)` contiguous stripes, exactly as
+    /// [`BoostedQuery::apply_batch`] cuts its repetitions.
     pub threads: usize,
     /// Updates buffered between flushes.
     pub batch_size: usize,
@@ -947,10 +949,10 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
             .is_none()
             .then(|| dgs_trace::child("dgs_core_supervise_flush"));
         self.rebuild_due_shards();
-        let batch = std::mem::take(&mut self.buffer);
-        if batch.is_empty() {
+        if self.buffer.is_empty() {
             return Ok(());
         }
+        let mut batch = std::mem::take(&mut self.buffer);
         self.metrics.flushes.inc();
 
         let outcomes = self.apply_batch(&batch);
@@ -1035,79 +1037,43 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
                 self.scrub_one()?;
             }
         }
-        self.buffer = Vec::with_capacity(self.cfg.batch_size);
+        // Hand the drained batch back: the next fill reuses its capacity.
+        batch.clear();
+        self.buffer = batch;
         Ok(())
     }
 
-    /// Stripes the batch over live shards (live slot `i` → stripe
-    /// `i % threads`, deterministic like `ShardedIngestor`) on the
-    /// persistent sticky worker pool: stripe `t` is submitted to pool
-    /// worker `t` every flush, so a worker's shards stay cache-resident
-    /// across the stream. Returns `(shard index, outcome)` for every live
-    /// shard. A worker panic is caught on the worker and converted into a
-    /// `Failed` outcome for its stripe — the supervisor itself never
-    /// panics on a shard's behalf, and the pool's panic flag never trips.
+    /// Applies the batch to every live shard, one retry ladder each,
+    /// striped by the ensemble's one striping routine (the one behind
+    /// [`BoostedQuery::apply_batch`]), and returns `(shard index, outcome)`
+    /// for every live shard. A shard whose ladder panics is `Failed` and
+    /// never retried, since its cells may be torn; its stripe-mates are
+    /// unaffected, at every thread count. The supervisor itself never
+    /// panics on a shard's behalf.
     fn apply_batch(&mut self, batch: &[Update]) -> Vec<(usize, ApplyOutcome)> {
-        let live: Vec<(usize, &mut Shard<S>)> = self
+        let mut live: Vec<(usize, &mut Shard<S>)> = self
             .shards
             .iter_mut()
             .enumerate()
             .filter(|(_, s)| s.health.is_live())
             .collect();
-        if live.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.cfg.threads.min(live.len());
-        if threads <= 1 {
-            return live
-                .into_iter()
-                .map(|(i, shard)| (i, apply_with_retry(shard, batch)))
-                .collect();
-        }
-        let mut stripes: Vec<Vec<(usize, &mut Shard<S>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (slot, entry) in live.into_iter().enumerate() {
-            stripes[slot % threads].push(entry);
-        }
-        let mut per_stripe: Vec<Vec<(usize, ApplyOutcome)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        let sink = self.sink.clone();
-        dgs_pool::with_local_pool(threads, |pool| {
-            pool.set_sink(&sink);
-            pool.scope(|scope| {
-                for ((t, stripe), out) in stripes.into_iter().enumerate().zip(per_stripe.iter_mut())
-                {
-                    let indices: Vec<usize> = stripe.iter().map(|(i, _)| *i).collect();
-                    scope.spawn(t, move || {
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            stripe
-                                .into_iter()
-                                .map(|(i, shard)| (i, apply_with_retry(shard, batch)))
-                                .collect::<Vec<_>>()
-                        }));
-                        *out = run.unwrap_or_else(|_| {
-                            indices
-                                .iter()
-                                .map(|&i| {
-                                    (
-                                        i,
-                                        ApplyOutcome::Failed {
-                                            error: SketchError::failure(
-                                                "supervise",
-                                                "flush worker panicked",
-                                            ),
-                                            attempts: 0,
-                                            waited_ns: 0,
-                                        },
-                                    )
-                                })
-                                .collect()
-                        });
-                    });
-                }
-            });
-        });
-        per_stripe.into_iter().flatten().collect()
+        apply_striped(
+            &mut live,
+            self.cfg.threads,
+            &self.sink,
+            |(i, shard)| (*i, apply_with_retry(shard, batch)),
+            |(i, _)| {
+                let error = SketchError::failure("supervise", "flush worker panicked");
+                (
+                    *i,
+                    ApplyOutcome::Failed {
+                        error,
+                        attempts: 0,
+                        waited_ns: 0,
+                    },
+                )
+            },
+        )
     }
 
     fn quarantine(&mut self, i: usize, cause: String) {
@@ -1540,6 +1506,7 @@ mod tests {
     use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
     use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
     use dgs_sketch::Profile;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn tmpdir(label: &str) -> PathBuf {
         static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -1712,6 +1679,108 @@ mod tests {
         }
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    /// A forest shard that, once `trip` is set, applies half of its next
+    /// batch and then panics; the flag clears as it fires.
+    #[derive(Clone)]
+    struct Tripwire {
+        forest: SpanningForestSketch,
+        trip: Option<Arc<AtomicBool>>,
+    }
+
+    impl Codec for Tripwire {
+        fn encode(&self, w: &mut Writer) {
+            self.forest.encode(w);
+        }
+        fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
+            Ok(Tripwire {
+                forest: <SpanningForestSketch as Codec>::decode(r)?,
+                trip: None,
+            })
+        }
+    }
+
+    impl Recoverable for Tripwire {
+        fn apply_update(&mut self, u: &Update) -> SketchResult<()> {
+            self.forest.apply_update(u)
+        }
+        fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
+            let fire = |t: &Arc<AtomicBool>| t.swap(false, Ordering::SeqCst);
+            if self.trip.as_ref().is_some_and(fire) {
+                let _ = self.forest.apply_batch(&batch[..batch.len() / 2]);
+                panic!("shard apply blew up mid-batch");
+            }
+            self.forest.apply_batch(batch)
+        }
+    }
+
+    #[test]
+    fn panicking_shard_is_quarantined_and_rebuilt_at_every_thread_count() {
+        let stream = workload(0x9A1C, 40);
+        let reference = reference_shards(&stream, 3);
+        for threads in [1usize, 2] {
+            let wal = tmpdir("panic-wal");
+            let snap = tmpdir("panic-snap");
+            let trip = Arc::new(AtomicBool::new(false));
+            let armed = Arc::clone(&trip);
+            let cfg = SupervisorConfig {
+                threads,
+                batch_size: 4,
+                ..cfg(0x9A1C)
+            };
+            let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, move |i| Tripwire {
+                forest: forest(i),
+                trip: (i == 1).then(|| Arc::clone(&armed)),
+            })
+            .unwrap();
+            // 18 updates: four flushes, two buffered.
+            for u in &stream.updates[..18] {
+                sup.push(u).unwrap();
+            }
+            trip.store(true, Ordering::SeqCst);
+            // The 20th update fills the batch; shard 1 panics in its flush
+            // and `push` still returns normally.
+            for u in &stream.updates[18..20] {
+                sup.push(u).unwrap();
+            }
+            assert!(
+                !trip.load(Ordering::SeqCst),
+                "threads {threads}: the shard never panicked"
+            );
+            assert_eq!(
+                sup.shard_states(),
+                [
+                    ShardState::Healthy,
+                    ShardState::Quarantined,
+                    ShardState::Healthy
+                ],
+                "threads {threads}: only the panicking shard fails"
+            );
+            assert!(
+                sup.last_shard_error(1)
+                    .is_some_and(|e| e.contains("flush worker panicked")),
+                "threads {threads}: {:?}",
+                sup.last_shard_error(1)
+            );
+            assert_eq!(sup.ingested(), sup.offset(), "threads {threads}");
+            // The next flush rebuilds the torn shard from the WAL.
+            for u in &stream.updates[20..24] {
+                sup.push(u).unwrap();
+            }
+            assert_eq!(sup.shard_states(), vec![ShardState::Healthy; 3]);
+            assert_eq!(sup.ingested(), sup.offset(), "threads {threads}");
+            for u in &stream.updates[24..] {
+                sup.push(u).unwrap();
+            }
+            sup.flush().unwrap();
+            assert_eq!(sup.ingested(), sup.offset(), "threads {threads}");
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(&sup.shard_encoded(i), want, "threads {threads}, shard {i}");
+            }
+            std::fs::remove_dir_all(&wal).unwrap();
+            std::fs::remove_dir_all(&snap).unwrap();
+        }
     }
 
     #[test]

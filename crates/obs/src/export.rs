@@ -141,7 +141,7 @@ fn hist_json(stats: &HistStats) -> String {
 }
 
 /// Render a snapshot as one JSON object:
-/// `{"counters":{...},"gauges":{...},"histograms":{...},"trace":[...],"trace_evicted":N}`.
+/// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
 pub(crate) fn to_json(snapshot: &Snapshot) -> String {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
@@ -156,25 +156,11 @@ pub(crate) fn to_json(snapshot: &Snapshot) -> String {
             }
         }
     }
-    let trace: Vec<String> = snapshot
-        .trace
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"name\":\"{}\",\"start_ns\":{},\"duration_ns\":{}}}",
-                json_escape(e.name),
-                e.start_ns,
-                e.duration_ns
-            )
-        })
-        .collect();
     format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}},\"trace\":[{}],\"trace_evicted\":{}}}",
+        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
         counters.join(","),
         gauges.join(","),
-        histograms.join(","),
-        trace.join(","),
-        snapshot.trace_evicted
+        histograms.join(",")
     )
 }
 
@@ -229,6 +215,6 @@ mod tests {
         let json = reg.to_json();
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"dgs_c{shard=\\\"0\\\"}\":1"));
-        assert!(json.ends_with("\"trace_evicted\":0}"));
+        assert!(json.ends_with("\"histograms\":{}}"));
     }
 }

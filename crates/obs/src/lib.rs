@@ -1,4 +1,4 @@
-//! # dgs-obs: in-tree metrics and tracing for the dynamic-graph-streams stack
+//! # dgs-obs: in-tree metrics for the dynamic-graph-streams stack
 //!
 //! A zero-dependency, *global-free* observability layer. There is no static
 //! registry and no macro magic: every instrumented component holds plain
@@ -18,24 +18,18 @@
 //! ## Naming scheme
 //!
 //! Metric names follow `dgs_<crate>_<subsystem>_<name>`, e.g.
-//! `dgs_sketch_l0_sample_failures` or `dgs_core_ingest_flush_ns`. Histograms
-//! that measure durations use an `_ns` suffix and record nanoseconds. Labelled
-//! metrics append `{key="value",...}` with keys sorted, e.g.
-//! `dgs_core_ingest_shard_updates{shard="3"}`.
+//! `dgs_sketch_l0_sample_failures` or `dgs_core_supervise_rebuild_ns`.
+//! Histograms that measure durations use an `_ns` suffix and record
+//! nanoseconds (time them with [`Histogram::start_timer`]). Labelled metrics
+//! append `{key="value",...}` with keys sorted, e.g.
+//! `dgs_pool_worker_busy_ns{worker="1"}`.
 //!
 //! ## Export
 //!
 //! A [`Registry`] snapshots into Prometheus text exposition format
 //! ([`Registry::to_prometheus`]) or a single JSON object
 //! ([`Registry::to_json`]). Both are deterministic (keys sorted) so they can be
-//! golden-tested.
-//!
-//! ## Tracing
-//!
-//! [`MetricsSink::span`] returns an RAII [`Span`] guard that records its
-//! elapsed time into a `_ns` histogram and, when the registry was built with
-//! [`Registry::with_trace`], appends a [`TraceEvent`] to a fixed-capacity ring
-//! buffer (oldest events evicted, eviction counted).
+//! golden-tested. Request tracing lives in `dgs-trace`.
 
 // Observability must never take the process down: `unwrap`/`expect` are
 // denied crate-wide in non-test code (tests opt back in locally). Poisoned
@@ -46,11 +40,9 @@
 mod export;
 mod metrics;
 mod registry;
-mod trace;
 
 pub use metrics::{
     bucket_index, bucket_upper_edge, Counter, Gauge, HistStats, Histogram, HistogramTimer,
     HISTOGRAM_BUCKETS,
 };
-pub use registry::{valid_metric_name, MetricValue, MetricsSink, Registry, Snapshot, Span};
-pub use trace::TraceEvent;
+pub use registry::{valid_metric_name, MetricValue, MetricsSink, Registry, Snapshot};

@@ -9,10 +9,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use crate::metrics::{Counter, Gauge, HistStats, Histogram, HistogramCells};
-use crate::trace::{TraceEvent, TraceLog};
 
 #[derive(Debug, Clone)]
 enum Cell {
@@ -24,8 +22,6 @@ enum Cell {
 #[derive(Debug)]
 pub(crate) struct RegistryInner {
     metrics: Mutex<BTreeMap<String, Cell>>,
-    trace: Option<TraceLog>,
-    epoch: Instant,
 }
 
 /// Cheap-to-clone handle used to resolve metric handles. The default /
@@ -105,32 +101,6 @@ impl MetricsSink {
         match &self.inner {
             None => Histogram::null(),
             Some(inner) => inner.histogram(keyed(name, labels)),
-        }
-    }
-
-    /// Start an RAII span. Records elapsed nanoseconds into the histogram
-    /// `<name>_ns` and, when tracing is enabled, appends a [`TraceEvent`] on
-    /// drop. On the null sink this never reads the clock nor allocates.
-    pub fn span(&self, name: &'static str) -> Span {
-        match &self.inner {
-            None => Span {
-                inner: None,
-                hist: Histogram::null(),
-                name,
-                start: None,
-            },
-            Some(inner) => {
-                let mut full = String::with_capacity(name.len() + 3);
-                full.push_str(name);
-                full.push_str("_ns");
-                let hist = inner.histogram(full);
-                Span {
-                    inner: inner.trace.is_some().then(|| Arc::clone(inner)),
-                    hist,
-                    name,
-                    start: Some(Instant::now()),
-                }
-            }
         }
     }
 }
@@ -231,39 +201,6 @@ impl RegistryInner {
     }
 }
 
-/// RAII span guard; see [`MetricsSink::span`].
-#[derive(Debug)]
-pub struct Span {
-    inner: Option<Arc<RegistryInner>>,
-    hist: Histogram,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Span {
-    /// Finish the span now; equivalent to dropping it.
-    pub fn exit(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let duration_ns = start.elapsed().as_nanos() as u64;
-            self.hist.record(duration_ns);
-            if let Some(inner) = &self.inner {
-                if let Some(trace) = &inner.trace {
-                    let start_ns = start.duration_since(inner.epoch).as_nanos() as u64;
-                    trace.push(TraceEvent {
-                        name: self.name,
-                        start_ns,
-                        duration_ns,
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// Point-in-time value of a single metric.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
@@ -277,10 +214,6 @@ pub enum MetricValue {
 pub struct Snapshot {
     /// `(fully_qualified_key, value)` pairs, ascending by key.
     pub metrics: Vec<(String, MetricValue)>,
-    /// Retained trace events, oldest first.
-    pub trace: Vec<TraceEvent>,
-    /// Number of trace events evicted from the ring.
-    pub trace_evicted: u64,
 }
 
 /// Owning side of the metrics system. Create one, pass `sink()` handles to
@@ -298,25 +231,11 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A registry without a trace ring (spans still feed histograms).
+    /// An empty registry.
     pub fn new() -> Self {
         Registry {
             inner: Arc::new(RegistryInner {
                 metrics: Mutex::new(BTreeMap::new()),
-                trace: None,
-                epoch: Instant::now(),
-            }),
-        }
-    }
-
-    /// A registry whose spans also append to a ring buffer holding the last
-    /// `capacity` events.
-    pub fn with_trace(capacity: usize) -> Self {
-        Registry {
-            inner: Arc::new(RegistryInner {
-                metrics: Mutex::new(BTreeMap::new()),
-                trace: Some(TraceLog::new(capacity)),
-                epoch: Instant::now(),
             }),
         }
     }
@@ -328,7 +247,7 @@ impl Registry {
         }
     }
 
-    /// Snapshot all metrics (sorted by key) and the trace ring.
+    /// Snapshot all metrics, sorted by key.
     pub fn snapshot(&self) -> Snapshot {
         let map = self
             .inner
@@ -352,16 +271,7 @@ impl Registry {
                 (k.clone(), v)
             })
             .collect();
-        drop(map);
-        let (trace, trace_evicted) = match &self.inner.trace {
-            None => (Vec::new(), 0),
-            Some(log) => log.snapshot(),
-        };
-        Snapshot {
-            metrics,
-            trace,
-            trace_evicted,
-        }
+        Snapshot { metrics }
     }
 
     /// Value of a counter by fully-qualified key; `None` if absent or not a
@@ -440,23 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_histogram_and_trace() {
-        let reg = Registry::with_trace(8);
-        let sink = reg.sink();
-        {
-            let _s = sink.span("dgs_test_work");
-        }
-        sink.span("dgs_test_work").exit();
-        let stats = reg
-            .histogram_stats("dgs_test_work_ns")
-            .expect("span histogram");
-        assert_eq!(stats.count, 2);
-        let snap = reg.snapshot();
-        assert_eq!(snap.trace.len(), 2);
-        assert!(snap.trace.iter().all(|e| e.name == "dgs_test_work"));
-    }
-
-    #[test]
     fn label_values_escaped_into_key() {
         let reg = Registry::new();
         let sink = reg.sink();
@@ -496,6 +389,5 @@ mod tests {
         let c = sink.counter("x");
         c.inc();
         assert!(!c.is_live());
-        let _s = sink.span("y");
     }
 }

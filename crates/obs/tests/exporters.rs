@@ -3,7 +3,7 @@
 use dgs_obs::Registry;
 
 fn populated_registry() -> Registry {
-    let reg = Registry::with_trace(4);
+    let reg = Registry::new();
     let sink = reg.sink();
     sink.counter("dgs_sketch_l0_sample_failures").add(2);
     sink.counter_labelled("dgs_core_ingest_shard_updates", &[("shard", "1")])
@@ -51,7 +51,7 @@ fn json_golden() {
         "},\"histograms\":{",
         "\"dgs_core_boost_repetitions_until_success\":",
         "{\"count\":5,\"sum\":10,\"mean\":2.0,\"p50\":1,\"p95\":5,\"p99\":5}",
-        "},\"trace\":[],\"trace_evicted\":0}",
+        "}}",
     );
     assert_eq!(reg.to_json(), expected);
 }

@@ -59,7 +59,7 @@ pub mod prelude {
         HybridConnectivitySketch, HybridMode, HypergraphSparsifier, LightRecoverySketch, Overload,
         QueryBudget, QueryOutcome, QueryPolicy, QueryRequest, QueryResponse, Recoverable,
         Recovered, RecoveryDriver, RecoveryError, ServiceConfig, ServiceError, ShardState,
-        ShardedIngestor, SparsifierConfig, SupervisedAnswer, SupervisedIngestor, SupervisorConfig,
+        SparsifierConfig, SupervisedAnswer, SupervisedIngestor, SupervisorConfig,
         TokenBucketConfig, VertexConnConfig, VertexConnSketch,
     };
     pub use dgs_field::prng::{Rng, SeedableRng, SliceRandom, StdRng};

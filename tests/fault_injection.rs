@@ -292,7 +292,7 @@ fn boosting_drives_the_failure_rate_down() {
     // to sample roughly a fifth of the time. (The top-level forest decode
     // hides that δ — Borůvka's cascading merges finish well inside the
     // round budget, so its end-to-end failure rate is near zero even with
-    // these parameters; `dgs_core::ingest`'s tests cover boosting that
+    // these parameters; `dgs_core::boost`'s tests cover boosting that
     // structure.)
     //
     // R sibling-seeded repetitions of the same sampler over the same

@@ -175,23 +175,21 @@ fn spill_migration_is_byte_identical_to_direct_sketch_ingest() {
             }
             let want: Vec<Vec<u8>> = reference.iter().map(encoded).collect();
 
-            // The same stream through ShardedIngestor at every (threads,
-            // batch) point — including batch sizes that put the spill,
-            // un-spill, and cap transitions mid-batch — must land the
-            // identical hybrid bytes (mode + buffer + sketch).
+            // The same stream through the striped boosted batch apply at
+            // every (threads, batch) point — including batch sizes that put
+            // the spill, un-spill, and cap transitions mid-batch — must land
+            // the identical hybrid bytes (mode + buffer + sketch).
             for threads in [1usize, 2, 3] {
                 for batch in [1usize, 5, 16, 64] {
-                    let mut ing =
-                        ShardedIngestor::with_build(REPS, threads, batch, |i| hybrid(seed, i, cfg));
-                    for u in &updates {
-                        ing.push(u).expect("push");
+                    let mut boosted = BoostedQuery::new(REPS, |i| hybrid(seed, i, cfg));
+                    for chunk in updates.chunks(batch) {
+                        boosted.apply_batch(chunk, threads).expect("apply_batch");
                     }
-                    let boosted = ing.finish().expect("finish");
                     let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
                     assert_eq!(
                         got, want,
                         "seed {seed} cfg {ci} threads {threads} batch {batch}: \
-                         sharded hybrid ingest diverged from scalar"
+                         striped hybrid ingest diverged from scalar"
                     );
                 }
             }

@@ -333,7 +333,7 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
             }
         }
 
-        // Boosted repetitions through the sharded ingestor.
+        // Boosted repetitions through the striped batch apply.
         let build = |i: usize| {
             SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params)
         };
@@ -343,11 +343,10 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
         }
         let expected_reps: Vec<Vec<u8>> = serial.sketches().iter().map(encoded).collect();
         for (threads, batch) in [(1usize, 7usize), (2, 64), (3, 256)] {
-            let mut ing = ShardedIngestor::with_build(3, threads, batch, build);
-            for u in &updates {
-                ing.push(u).unwrap();
+            let mut boosted = BoostedQuery::new(3, build);
+            for chunk in updates.chunks(batch) {
+                boosted.apply_batch(chunk, threads).unwrap();
             }
-            let boosted = ing.finish().unwrap();
             let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
             assert_eq!(
                 got, expected_reps,
@@ -362,7 +361,7 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
 /// across many reuse cycles of the caller thread's cached pool — every
 /// combination below runs on this test thread, so the same pool (grown in
 /// place when a wider thread count appears) serves striped forest updates
-/// and sharded boosted ingestion back to back. A stale mailbox or worker
+/// and striped boosted batches back to back. A stale mailbox or worker
 /// left over from a previous scope would surface as a byte difference.
 #[test]
 fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
@@ -404,15 +403,21 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
             }
             assert_eq!(encoded(&sk), expected, "striped t={threads}, b={batch}");
 
-            let mut ing = ShardedIngestor::with_build(5, threads, batch, build);
-            for (j, u) in stream.updates.iter().enumerate() {
-                ing.push(u).unwrap();
-                // Mid-batch drains at a stride coprime to every batch size.
-                if j % 17 == 0 {
-                    ing.flush().unwrap();
+            let mut boosted = BoostedQuery::new(5, build);
+            let mut start = 0;
+            for j in 0..stream.updates.len() {
+                // Cut at the batch size and, mid-batch, at a stride coprime
+                // to every batch size.
+                if j + 1 - start == batch || j % 17 == 0 {
+                    boosted
+                        .apply_batch(&stream.updates[start..=j], threads)
+                        .unwrap();
+                    start = j + 1;
                 }
             }
-            let boosted = ing.finish().unwrap();
+            boosted
+                .apply_batch(&stream.updates[start..], threads)
+                .unwrap();
             let got: Vec<Vec<u8>> = boosted.sketches().iter().map(encoded).collect();
             assert_eq!(got, expected_reps, "sharded t={threads}, b={batch}");
         }
