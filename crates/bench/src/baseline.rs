@@ -27,6 +27,11 @@
 //! Values are rendered deterministically in insertion order; floats use a
 //! fixed number of decimals chosen per field, so re-running with identical
 //! results produces byte-identical files.
+//!
+//! Each guarded experiment (E17–E23) judges a run by a list of named
+//! [`Verdicts`]; their conjunction is the summary `pass` it writes, and
+//! [`guard`] — the one runner behind every `experiments check-*` — re-runs
+//! the experiment in quick mode and enforces that same list.
 
 /// An ordered list of `"key": value` pairs, values pre-rendered as JSON.
 #[derive(Clone, Debug, Default)]
@@ -206,6 +211,133 @@ pub fn summary_pass(s: &str) -> Option<bool> {
     json_bool_field(&s[at..], "pass")
 }
 
+/// How far a guarded throughput may fall below its checked-in baseline: a
+/// coarse bound, because shared runners are noisy and the guards exist to
+/// catch order-of-magnitude regressions, not 10% drift.
+pub const MAX_REGRESSION: f64 = 5.0;
+
+/// The named acceptance verdicts of one run of a guarded experiment, plus
+/// the throughputs its guard holds against the checked-in baseline.
+#[derive(Debug, Default)]
+pub struct Verdicts {
+    checks: Vec<(String, bool)>,
+    floors: Vec<(&'static str, f64)>,
+}
+
+impl Verdicts {
+    pub fn new() -> Verdicts {
+        Verdicts::default()
+    }
+
+    /// Adds one verdict; `name` states the condition with its measured
+    /// values, so a failing guard's log says what broke.
+    pub fn check(mut self, name: impl Into<String>, ok: bool) -> Verdicts {
+        self.checks.push((name.into(), ok));
+        self
+    }
+
+    /// `name` (measured `value`) must be zero.
+    pub fn zero(self, name: &str, value: u64) -> Verdicts {
+        self.check(format!("{name} {value} == 0"), value == 0)
+    }
+
+    /// `name` (measured `value`) must be positive.
+    pub fn positive(self, name: &str, value: u64) -> Verdicts {
+        self.check(format!("{name} {value} > 0"), value > 0)
+    }
+
+    /// `name` (measured `value`) must equal `other` (measured `expected`).
+    pub fn equal(self, name: &str, value: u64, other: &str, expected: u64) -> Verdicts {
+        self.check(
+            format!("{name} {value} == {other} {expected}"),
+            value == expected,
+        )
+    }
+
+    /// `name` (measured `value`) must be at least `min`.
+    pub fn at_least(self, name: &str, value: f64, min: f64) -> Verdicts {
+        self.check(format!("{name} {value:.4} >= {min}"), value >= min)
+    }
+
+    /// A throughput the guard requires to stay within [`MAX_REGRESSION`]x
+    /// of the checked-in baseline's field `key`. A full run writes the
+    /// baseline, so floors are not part of [`pass`](Self::pass).
+    pub fn floor(mut self, key: &'static str, measured: f64) -> Verdicts {
+        self.floors.push((key, measured));
+        self
+    }
+
+    /// The conjunction of every verdict: the summary `pass`.
+    pub fn pass(&self) -> bool {
+        self.checks.iter().all(|(_, ok)| *ok)
+    }
+
+    /// `PASS`, or `FAIL` with every verdict that failed: the acceptance
+    /// line an experiment prints under its table.
+    pub fn outcome(&self) -> String {
+        let failed: Vec<&str> = (self.checks.iter())
+            .filter(|(_, ok)| !ok)
+            .map(|(name, _)| name.as_str())
+            .collect();
+        if failed.is_empty() {
+            format!("PASS ({} verdicts)", self.checks.len())
+        } else {
+            format!("FAIL: {}", failed.join("; "))
+        }
+    }
+}
+
+/// The CI guard behind every `experiments check-*` command. The checked-in
+/// baseline at `path` must be `schema_version` 1 with summary `pass: true`;
+/// `rerun` re-measures in quick mode, and every verdict it returns must
+/// hold, as must every floor against the baseline field it names. Prints
+/// each verdict and returns whether the guard passed.
+pub fn guard(name: &str, path: &str, rerun: impl FnOnce() -> Verdicts) -> bool {
+    let baseline = match std::fs::read_to_string(path) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{name}: FAIL — cannot read {path}: {e}");
+            return false;
+        }
+    };
+    let quick = rerun();
+    let schema = json_f64_field(&baseline, "schema_version") == Some(1.0);
+    let mut all = Verdicts::new()
+        .check(format!("{path} has schema_version 1"), schema)
+        .check(
+            format!("{path} records summary pass: true"),
+            summary_pass(&baseline) == Some(true),
+        );
+    all.checks.extend(quick.checks);
+    for (key, now) in quick.floors {
+        // A baseline without the field fails the floor.
+        let base = json_f64_field(&baseline, key).unwrap_or(f64::INFINITY);
+        all = all.check(
+            format!("{key} {now:.1} >= {path} {base:.1} / {MAX_REGRESSION}"),
+            now * MAX_REGRESSION >= base,
+        );
+    }
+    for (what, held) in &all.checks {
+        if *held {
+            println!("{name}: ok   {what}");
+        } else {
+            eprintln!("{name}: FAIL {what}");
+        }
+    }
+    println!("{name}: {}", if all.pass() { "OK" } else { "FAIL" });
+    all.pass()
+}
+
+/// A baseline file [`guard`] accepts (schema 1, `pass: true`, summary
+/// field `ups` = 100), in the temp dir, for tests of the runner.
+#[cfg(test)]
+pub(crate) fn passing_baseline(tag: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("dgs-guard-{tag}-{}.json", std::process::id()));
+    let doc = Baseline::new(tag).summary(Fields::new().f64("ups", 100.0, 1), true);
+    std::fs::write(&path, doc.render()).expect("write test baseline");
+    path
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,5 +404,75 @@ mod tests {
         b.row(Fields::new().usize("i", 0), true);
         let failing = b.summary(Fields::new(), false).render();
         assert_eq!(summary_pass(&failing), Some(false));
+    }
+
+    fn passing_verdicts() -> Verdicts {
+        Verdicts::new()
+            .zero("silent_wrong", 0)
+            .positive("answered", 3)
+            .equal("roots", 4, "requests", 4)
+            .at_least("ratio", 0.9, 0.75)
+            .check("byte-identical", true)
+            .floor("ups", 21.0)
+    }
+
+    #[test]
+    fn guard_passes_a_clean_run_against_a_passing_baseline() {
+        let path = passing_baseline("clean");
+        let path = path.to_str().unwrap();
+        assert!(passing_verdicts().pass());
+        assert!(guard("check-test", path, passing_verdicts));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn guard_fails_when_any_single_verdict_fails() {
+        let path = passing_baseline("one-false");
+        let path = path.to_str().unwrap();
+        let failing: [fn() -> Verdicts; 6] = [
+            || passing_verdicts().zero("silent_wrong", 1),
+            || passing_verdicts().positive("answered", 0),
+            || passing_verdicts().equal("roots", 3, "requests", 4),
+            || passing_verdicts().at_least("ratio", 0.7, 0.75),
+            || passing_verdicts().check("byte-identical", false),
+            // 19 updates/s is more than 5x below the baseline's 100.
+            || passing_verdicts().floor("ups", 19.0),
+        ];
+        for (i, rerun) in failing.into_iter().enumerate() {
+            assert!(!guard("check-test", path, rerun), "verdict {i}");
+        }
+        // A floor on a field the baseline does not record fails too.
+        assert!(!guard("check-test", path, || passing_verdicts()
+            .floor("missing", 1.0)));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn guard_fails_on_a_missing_wrong_schema_or_failing_baseline() {
+        let missing = std::env::temp_dir().join("dgs-guard-no-such-baseline.json");
+        assert!(!guard("check-test", missing.to_str().unwrap(), || {
+            panic!("no re-run without a baseline")
+        }));
+        let good_path = passing_baseline("variants");
+        let good = std::fs::read_to_string(&good_path).unwrap();
+        for (tag, doc) in [
+            (
+                "schema-2",
+                good.replace("\"schema_version\": 1", "\"schema_version\": 2"),
+            ),
+            (
+                "pass-false",
+                good.replace("\"pass\": true", "\"pass\": false"),
+            ),
+        ] {
+            let path = passing_baseline(tag);
+            std::fs::write(&path, doc).unwrap();
+            assert!(
+                !guard("check-test", path.to_str().unwrap(), passing_verdicts),
+                "{tag}"
+            );
+            let _ = std::fs::remove_file(path);
+        }
+        let _ = std::fs::remove_file(good_path);
     }
 }

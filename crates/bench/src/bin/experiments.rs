@@ -10,22 +10,38 @@
 
 use std::process::ExitCode;
 
+use dgs_bench::baseline::{guard, Verdicts};
 use dgs_bench::experiments::{
     e17_ingest, e18_obs, e19_query, e20_chaos, e21_service, e22_trace, e23_hybrid,
 };
 
-/// A CI guard: re-measures and compares against the baseline at the path.
-type Check = fn(&str) -> bool;
+/// A guarded experiment's quick re-run, judged by its own verdicts.
+type Rerun = fn() -> Verdicts;
 
-/// The CI guards: subcommand, default baseline file, and the check.
-const CHECKS: &[(&str, &str, Check)] = &[
-    ("check-ingest", "BENCH_ingest.json", e17_ingest::check),
-    ("check-obs", "BENCH_obs.json", e18_obs::check),
-    ("check-query", "BENCH_query.json", e19_query::check),
-    ("check-chaos", "BENCH_chaos.json", e20_chaos::check),
-    ("check-service", "BENCH_service.json", e21_service::check),
-    ("check-trace", "BENCH_trace.json", e22_trace::check),
-    ("check-hybrid", "BENCH_hybrid.json", e23_hybrid::check),
+/// The CI guards: subcommand, default baseline file, and the quick re-run
+/// [`guard`] enforces against that baseline.
+const CHECKS: &[(&str, &str, Rerun)] = &[
+    ("check-ingest", "BENCH_ingest.json", || {
+        e17_ingest::verdicts(&e17_ingest::measure(true))
+    }),
+    ("check-obs", "BENCH_obs.json", || {
+        e18_obs::verdicts(&e18_obs::measure(true))
+    }),
+    ("check-query", "BENCH_query.json", || {
+        e19_query::verdicts(&e19_query::measure(true))
+    }),
+    ("check-chaos", "BENCH_chaos.json", || {
+        e20_chaos::verdicts(&e20_chaos::measure(true))
+    }),
+    ("check-service", "BENCH_service.json", || {
+        e21_service::verdicts(&e21_service::measure(true))
+    }),
+    ("check-trace", "BENCH_trace.json", || {
+        e22_trace::verdicts(&e22_trace::measure(true))
+    }),
+    ("check-hybrid", "BENCH_hybrid.json", || {
+        e23_hybrid::verdicts(&e23_hybrid::measure(true))
+    }),
 ];
 
 const DESCRIPTIONS: &[(&str, &str)] = &[
@@ -101,9 +117,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let first = ids.first().map(|a| a.as_str());
-    if let Some((_, default, check)) = CHECKS.iter().find(|(cmd, _, _)| Some(*cmd) == first) {
+    if let Some((cmd, default, rerun)) = CHECKS.iter().find(|(cmd, _, _)| Some(*cmd) == first) {
         let baseline = ids.get(1).map_or(*default, |s| s.as_str());
-        return if check(baseline) {
+        return if guard(cmd, baseline, rerun) {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE

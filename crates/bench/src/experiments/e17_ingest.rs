@@ -3,22 +3,19 @@
 //! The batched SoA kernels (`SpanningForestSketch::try_update_batch`) hoist
 //! hashing, level selection, and fingerprint exponentiation out of the
 //! per-update loop and share one `L0Plan` across every vertex row of a
-//! round; `try_update_batch_striped` and `BoostedQuery::apply_batch` then
-//! stripe independent rows / boosted repetitions across the persistent
-//! sticky worker pool (`dgs_pool::StickyPool`). Because the field is exact
-//! and assignment is deterministic, every variant is bit-identical to the
-//! scalar loop — this experiment asserts that in every row while measuring
-//! updates/sec, and writes the machine-readable baseline
-//! `BENCH_ingest.json` that the CI bench-smoke job (`experiments
-//! check-ingest`) guards against regressions — including the parallel
-//! crossover: on a multi-core host, striping at 2 threads must beat the
-//! single-thread batched kernel at the same batch size.
+//! round; `BoostedQuery::apply_batch` then stripes independent boosted
+//! repetitions across the persistent sticky worker pool
+//! (`dgs_pool::StickyPool`). Because the field is exact and assignment is
+//! deterministic, every variant is bit-identical to the scalar loop — this
+//! experiment asserts that in every row while measuring updates/sec, and
+//! writes the machine-readable baseline `BENCH_ingest.json` that the CI
+//! bench-smoke job (`experiments check-ingest`) guards against regressions.
 //!
-//! The workload is deliberately sized so parallelism has something to
+//! The workload is deliberately sized so batching has something to
 //! amortize: the churn stream over a `gnm(n, 4n)` graph is tiled (the
 //! sketch is linear, so repeating the stream just scales multiplicities)
 //! until the update count reaches the mode's floor — small batches over a
-//! few hundred updates measure thread-spawn overhead, not ingest.
+//! few hundred updates measure fan-out overhead, not ingest.
 
 use std::time::Instant;
 
@@ -29,12 +26,12 @@ use dgs_field::{Codec, SeedTree, Writer};
 use dgs_hypergraph::generators::gnm;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph, Update};
 
-use crate::baseline::{json_f64_field, Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::Table;
 use crate::workloads::{default_stream, lean_forest};
 
-/// Batch size shared by every striped row and the crossover comparison.
-const CROSSOVER_BATCH: usize = 256;
+/// Batch size of the boosted-sharded rows.
+const SHARDED_BATCH: usize = 256;
 
 fn fresh(n: usize, seed: u64) -> SpanningForestSketch {
     let space = EdgeSpace::graph(n).unwrap();
@@ -45,10 +42,6 @@ fn encoded<T: Codec>(t: &T) -> Vec<u8> {
     let mut w = Writer::new();
     t.encode(&mut w);
     w.into_bytes()
-}
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 pub struct RowOut {
@@ -65,24 +58,32 @@ pub struct Measurement {
     pub updates: usize,
     pub stream_updates: usize,
     pub trials: usize,
-    pub host_cpus: usize,
     pub scalar_updates_per_sec: f64,
     pub best_batched_updates_per_sec: f64,
-    /// Smallest measured thread count whose striped row (at
-    /// [`CROSSOVER_BATCH`]) beat the single-thread batched row at the same
-    /// batch size; `0` if striping never won (e.g. a single-CPU host).
-    pub crossover_threads: usize,
     pub rows: Vec<RowOut>,
 }
 
-impl Measurement {
-    /// Updates/sec of the first row matching `(mode, batch, threads)`.
-    pub fn row_ups(&self, mode: &str, batch: Option<usize>, threads: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.mode == mode && r.batch == batch && r.threads == threads)
-            .map(|r| r.updates_per_sec)
-    }
+/// The acceptance verdicts: every row bit-identical to the scalar
+/// reference, and batched throughput within [`crate::baseline::MAX_REGRESSION`]x
+/// of the checked-in baseline.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    m.rows
+        .iter()
+        .fold(Verdicts::new(), |v, r| {
+            v.check(
+                format!(
+                    "{} batch {} threads {} exact",
+                    r.mode,
+                    r.batch.unwrap_or(1),
+                    r.threads
+                ),
+                r.exact,
+            )
+        })
+        .floor(
+            "best_batched_updates_per_sec",
+            m.best_batched_updates_per_sec,
+        )
 }
 
 /// Times `ingest` over `trials` fresh sketches and returns the best
@@ -152,9 +153,9 @@ pub fn measure(quick: bool) -> Measurement {
 
     // Batched kernel, single thread, over a sweep of batch sizes.
     let batch_sizes: &[usize] = if quick {
-        &[64, CROSSOVER_BATCH]
+        &[64, 256]
     } else {
-        &[16, 64, CROSSOVER_BATCH, 1024]
+        &[16, 64, 256, 1024]
     };
     let mut best_batched = 0.0f64;
     for &b in batch_sizes {
@@ -163,9 +164,7 @@ pub fn measure(quick: bool) -> Measurement {
                 s.try_update_batch(chunk).expect("batched update");
             }
         });
-        if ups > best_batched {
-            best_batched = ups;
-        }
+        best_batched = best_batched.max(ups);
         rows.push(RowOut {
             mode: "batched",
             batch: Some(b),
@@ -174,35 +173,6 @@ pub fn measure(quick: bool) -> Measurement {
             speedup: ups / scalar_ups,
             exact: bytes == reference,
         });
-    }
-
-    // Batched + vertex-row striping across the sticky pool.
-    let thread_counts: &[usize] = if quick { &[2] } else { &[2, 4, 8] };
-    let striped_batches: &[usize] = if quick {
-        &[CROSSOVER_BATCH]
-    } else {
-        &[CROSSOVER_BATCH, 1024]
-    };
-    for &b in striped_batches {
-        for &t in thread_counts {
-            let (ups, bytes) = time_best(trials, m, n, seed, |s| {
-                for chunk in pairs.chunks(b) {
-                    s.try_update_batch_striped(chunk, t)
-                        .expect("striped update");
-                }
-            });
-            if ups > best_batched {
-                best_batched = ups;
-            }
-            rows.push(RowOut {
-                mode: "striped",
-                batch: Some(b),
-                threads: t,
-                updates_per_sec: ups,
-                speedup: ups / scalar_ups,
-                exact: bytes == reference,
-            });
-        }
     }
 
     // Boosted repetitions: scalar loop vs striped batches.
@@ -238,13 +208,14 @@ pub fn measure(quick: bool) -> Measurement {
         speedup: 1.0,
         exact: true,
     });
+    let thread_counts: &[usize] = if quick { &[2] } else { &[2, 4, 8] };
     for &t in thread_counts {
         let mut best = 0.0f64;
         let mut exact = false;
         for _ in 0..trials {
             let mut q = BoostedQuery::new(r, build);
             let t0 = Instant::now();
-            for batch in updates.chunks(CROSSOVER_BATCH) {
+            for batch in updates.chunks(SHARDED_BATCH) {
                 q.apply_batch(batch, t).expect("striped boosted batch");
             }
             let ups = m as f64 / t0.elapsed().as_secs_f64();
@@ -255,7 +226,7 @@ pub fn measure(quick: bool) -> Measurement {
         }
         rows.push(RowOut {
             mode: "boosted-sharded",
-            batch: Some(CROSSOVER_BATCH),
+            batch: Some(SHARDED_BATCH),
             threads: t,
             updates_per_sec: best,
             speedup: best / boosted_scalar_ups,
@@ -263,32 +234,15 @@ pub fn measure(quick: bool) -> Measurement {
         });
     }
 
-    let mut meas = Measurement {
+    Measurement {
         n,
         updates: m,
         stream_updates,
         trials,
-        host_cpus: host_cpus(),
         scalar_updates_per_sec: scalar_ups,
         best_batched_updates_per_sec: best_batched,
-        crossover_threads: 0,
         rows,
-    };
-    // Striping crossover: smallest thread count beating the single-thread
-    // batched kernel at the same batch size.
-    let batched_ref = meas
-        .row_ups("batched", Some(CROSSOVER_BATCH), 1)
-        .unwrap_or(f64::INFINITY);
-    meas.crossover_threads = thread_counts
-        .iter()
-        .copied()
-        .filter(|&t| {
-            meas.row_ups("striped", Some(CROSSOVER_BATCH), t)
-                .is_some_and(|ups| ups > batched_ref)
-        })
-        .min()
-        .unwrap_or(0);
-    meas
+    }
 }
 
 pub fn run(quick: bool) {
@@ -311,27 +265,16 @@ pub fn run(quick: bool) {
         "workload: {} updates ({} unique churn, tiled) over n = {}; best of {} trial(s) per row",
         meas.updates, meas.stream_updates, meas.n, meas.trials
     ));
-    table.note(format!(
-        "host cpus: {}; striping crossover at batch {}: {}",
-        meas.host_cpus,
-        CROSSOVER_BATCH,
-        if meas.crossover_threads == 0 {
-            "none".to_string()
-        } else {
-            format!("{} threads", meas.crossover_threads)
-        }
-    ));
     table.note("speedup is vs the scalar per-update loop of the same mode family");
     table.note("exact = final sketch encoding bit-identical to the scalar reference");
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, verdicts(&meas).pass());
 }
 
 /// `BENCH_ingest.json` in the shared [`crate::baseline`] schema: a row per
-/// ingest variant (`pass` = bit-identity held), summary throughput
-/// aggregates, host CPU count, and the striping crossover point for the CI
-/// guard.
-fn write_baseline(meas: &Measurement) {
+/// ingest variant (`pass` = bit-identity held) and the summary throughput
+/// aggregates the CI guard's floor reads.
+fn write_baseline(meas: &Measurement, pass: bool) {
     let mut b = Baseline::new("e17-ingest").config(
         Fields::new()
             .usize("n", meas.n)
@@ -351,7 +294,6 @@ fn write_baseline(meas: &Measurement) {
             r.exact,
         );
     }
-    let all_exact = meas.rows.iter().all(|r| r.exact);
     b.summary(
         Fields::new()
             .f64("scalar_updates_per_sec", meas.scalar_updates_per_sec, 1)
@@ -359,98 +301,8 @@ fn write_baseline(meas: &Measurement) {
                 "best_batched_updates_per_sec",
                 meas.best_batched_updates_per_sec,
                 1,
-            )
-            .usize("host_cpus", meas.host_cpus)
-            .usize("striped_crossover_threads", meas.crossover_threads),
-        all_exact,
+            ),
+        pass,
     )
     .write("BENCH_ingest.json");
-}
-
-/// CI guard: re-measures the quick workload and fails (returns `false`) if
-/// batched throughput regressed more than `MAX_REGRESSION`x against the
-/// checked-in baseline, if any variant lost bit-identity, or — on a
-/// multi-core host — if striping at 2 threads failed to beat the
-/// single-thread batched kernel at the same batch size. The wide
-/// throughput margin absorbs machine-to-machine variance; the guard exists
-/// to catch order-of-magnitude kernel regressions and parallel-scaling
-/// regressions, not 10% drift.
-pub fn check(baseline_path: &str) -> bool {
-    const MAX_REGRESSION: f64 = 5.0;
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-ingest: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(base_batched) = json_f64_field(&baseline, "best_batched_updates_per_sec") else {
-        eprintln!("check-ingest: no best_batched_updates_per_sec in {baseline_path}");
-        return false;
-    };
-    let meas = measure(true);
-    let mut ok = true;
-    for r in &meas.rows {
-        if !r.exact {
-            eprintln!(
-                "check-ingest: FAIL — {} (batch {:?}, threads {}) lost bit-identity",
-                r.mode, r.batch, r.threads
-            );
-            ok = false;
-        }
-    }
-    let current = meas.best_batched_updates_per_sec;
-    println!(
-        "check-ingest: batched {current:.0} updates/s vs baseline {base_batched:.0} \
-         (floor {:.0})",
-        base_batched / MAX_REGRESSION
-    );
-    if current * MAX_REGRESSION < base_batched {
-        eprintln!(
-            "check-ingest: FAIL — batched ingest regressed more than {MAX_REGRESSION}x \
-             ({current:.0} vs baseline {base_batched:.0} updates/s)"
-        );
-        ok = false;
-    }
-    // Parallel-scaling guard: only meaningful where a second core exists.
-    if meas.host_cpus >= 2 {
-        let batched = meas.row_ups("batched", Some(CROSSOVER_BATCH), 1);
-        let striped = meas.row_ups("striped", Some(CROSSOVER_BATCH), 2);
-        match (batched, striped) {
-            (Some(b1), Some(s2)) => {
-                println!(
-                    "check-ingest: striped(t=2) {s2:.0} vs batched(t=1) {b1:.0} \
-                     updates/s at batch {CROSSOVER_BATCH}"
-                );
-                if s2 <= b1 {
-                    eprintln!(
-                        "check-ingest: FAIL — striping at 2 threads did not beat the \
-                         single-thread batched kernel ({s2:.0} <= {b1:.0} updates/s)"
-                    );
-                    ok = false;
-                }
-            }
-            _ => {
-                eprintln!("check-ingest: FAIL — crossover rows missing from measurement");
-                ok = false;
-            }
-        }
-    } else {
-        // Spell out both CPU counts so a skipped guard is auditable from
-        // the CI log alone: the detected count explains *why* this run
-        // skipped, the baseline's recorded count shows what the checked-in
-        // measurement ran on.
-        let base_cpus = json_f64_field(&baseline, "host_cpus")
-            .map_or_else(|| "unrecorded".to_string(), |c| format!("{c:.0}"));
-        println!(
-            "check-ingest: SKIPPED striped>batched crossover guard — single-CPU host: \
-             detected host_cpus = {} (baseline recorded host_cpus = {base_cpus}); \
-             the guard is enforced on multi-core runners",
-            meas.host_cpus
-        );
-    }
-    if ok {
-        println!("check-ingest: OK");
-    }
-    ok
 }

@@ -36,7 +36,7 @@ use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
 use dgs_obs::Registry;
 use dgs_sketch::{L0Params, L0Sampler, Profile};
 
-use crate::baseline::{Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::Table;
 use crate::workloads::{default_stream, lean_forest};
 
@@ -61,10 +61,23 @@ pub struct RateRow {
 }
 
 impl RateRow {
-    /// The CI acceptance predicate: observed rate within 2x of the bound.
+    /// Observed rate within 2x of the bound.
     pub fn within_2x(&self) -> bool {
         self.observed <= 2.0 * self.bound
     }
+}
+
+/// The acceptance verdicts: every observed rate within 2x of its bound.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    m.rate_rows.iter().fold(Verdicts::new(), |v, r| {
+        v.check(
+            format!(
+                "{} R={} observed {:.4} <= 2 x bound {:.4}",
+                r.label, r.repetitions, r.observed, r.bound
+            ),
+            r.within_2x(),
+        )
+    })
 }
 
 /// Everything E18 measures.
@@ -274,9 +287,9 @@ pub fn run(quick: bool) {
 
 /// `BENCH_obs.json` in the shared [`crate::baseline`] schema: a row per
 /// structure (`pass` = observed rate within 2x of its bound), summary
-/// `all_within_2x` for the CI guard.
+/// `all_within_2x` = [`verdicts`].
 fn write_baseline(meas: &Measurement) {
-    let all_within = meas.rate_rows.iter().all(RateRow::within_2x);
+    let all_within = verdicts(meas).pass();
     let mut b = Baseline::new("e18-obs").config(
         Fields::new()
             .u64("trials", meas.trials)
@@ -299,47 +312,6 @@ fn write_baseline(meas: &Measurement) {
     }
     b.summary(Fields::new().bool("all_within_2x", all_within), all_within)
         .write("BENCH_obs.json");
-}
-
-/// CI guard: the checked-in baseline must declare every row within 2x of
-/// its bound, and a fresh quick re-measurement must agree. Returns `false`
-/// on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-obs: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if !baseline.contains("\"all_within_2x\": true") {
-        eprintln!("check-obs: FAIL — checked-in {baseline_path} records a bound violation");
-        ok = false;
-    }
-    let meas = measure(true);
-    for r in &meas.rate_rows {
-        println!(
-            "check-obs: {} R={}: observed {:.4} vs bound {:.4} (ceiling {:.4})",
-            r.label,
-            r.repetitions,
-            r.observed,
-            r.bound,
-            2.0 * r.bound
-        );
-        if !r.within_2x() {
-            eprintln!(
-                "check-obs: FAIL — {} R={} observed failure rate {:.4} exceeds 2x its \
-                 theoretical bound {:.4}",
-                r.label, r.repetitions, r.observed, r.bound
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("check-obs: OK");
-    }
-    ok
 }
 
 /// `experiments obs-report` — drives one representative workload through

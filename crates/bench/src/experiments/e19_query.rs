@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use crate::baseline::{Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use dgs_connectivity::{DecodeScratch, KSkeletonSketch, SpanningForestSketch};
 use dgs_core::{VertexConnConfig, VertexConnSketch};
 use dgs_field::prng::*;
@@ -51,6 +51,31 @@ pub struct Measurement {
     /// workload, the regression-guard scalar.
     pub best_engine_decodes_per_sec: f64,
     pub rows: Vec<RowOut>,
+}
+
+/// The 4-thread engine speedup over the reference decoder that every run
+/// must keep.
+const MIN_PAR4_SPEEDUP: f64 = 1.5;
+
+/// The acceptance verdicts: every row exact against its sequential
+/// baseline, the engine at least [`MIN_PAR4_SPEEDUP`]x the reference at 4
+/// threads, and decode throughput within
+/// [`crate::baseline::MAX_REGRESSION`]x of the checked-in baseline.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    m.rows
+        .iter()
+        .fold(Verdicts::new(), |v, r| {
+            v.check(
+                format!("{} n {} k {} threads {} exact", r.mode, r.n, r.k, r.threads),
+                r.exact,
+            )
+        })
+        .at_least(
+            "forest_par4_speedup",
+            m.forest_par4_speedup,
+            MIN_PAR4_SPEEDUP,
+        )
+        .floor("best_engine_decodes_per_sec", m.best_engine_decodes_per_sec)
 }
 
 fn forest_sketch(n: usize, seed: u64) -> SpanningForestSketch {
@@ -311,13 +336,13 @@ pub fn run(quick: bool) {
     );
     table.note("exact = decoded edges and component labels byte-identical to the baseline row");
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, verdicts(&meas).pass());
 }
 
 /// `BENCH_query.json` in the shared [`crate::baseline`] schema: a row per
 /// decode engine configuration (`pass` = exactness held), summary speedup
 /// and throughput aggregates for the CI guard.
-fn write_baseline(meas: &Measurement) {
+fn write_baseline(meas: &Measurement, pass: bool) {
     let mut b = Baseline::new("e19-query").config(Fields::new().usize("trials", meas.trials));
     for r in &meas.rows {
         b.row(
@@ -332,7 +357,6 @@ fn write_baseline(meas: &Measurement) {
             r.exact,
         );
     }
-    let all_exact = meas.rows.iter().all(|r| r.exact);
     b.summary(
         Fields::new()
             .f64("forest_par4_speedup", meas.forest_par4_speedup, 3)
@@ -341,67 +365,7 @@ fn write_baseline(meas: &Measurement) {
                 meas.best_engine_decodes_per_sec,
                 2,
             ),
-        all_exact,
+        pass,
     )
     .write("BENCH_query.json");
-}
-
-/// CI guard: re-measures the quick workload and fails (returns `false`) if
-/// any row lost exactness, if the engine's 4-thread speedup over the
-/// reference decoder fell below 1.5x, or if engine decode throughput
-/// regressed more than `MAX_REGRESSION`x against the checked-in baseline.
-pub fn check(baseline_path: &str) -> bool {
-    const MAX_REGRESSION: f64 = 5.0;
-    const MIN_PAR4_SPEEDUP: f64 = 1.5;
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-query: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let Some(base_dps) = crate::baseline::json_f64_field(&baseline, "best_engine_decodes_per_sec")
-    else {
-        eprintln!("check-query: no best_engine_decodes_per_sec in {baseline_path}");
-        return false;
-    };
-    let meas = measure(true);
-    let mut ok = true;
-    for r in &meas.rows {
-        if !r.exact {
-            eprintln!(
-                "check-query: FAIL — {} (n {}, k {}, threads {}) lost exactness \
-                 vs the sequential baseline",
-                r.mode, r.n, r.k, r.threads
-            );
-            ok = false;
-        }
-    }
-    println!(
-        "check-query: engine par4 speedup {:.2}x (floor {MIN_PAR4_SPEEDUP}x), \
-         {:.1} decodes/s vs baseline {base_dps:.1} (floor {:.1})",
-        meas.forest_par4_speedup,
-        meas.best_engine_decodes_per_sec,
-        base_dps / MAX_REGRESSION
-    );
-    if meas.forest_par4_speedup < MIN_PAR4_SPEEDUP {
-        eprintln!(
-            "check-query: FAIL — engine 4-thread decode speedup {:.2}x below \
-             the {MIN_PAR4_SPEEDUP}x floor",
-            meas.forest_par4_speedup
-        );
-        ok = false;
-    }
-    if meas.best_engine_decodes_per_sec * MAX_REGRESSION < base_dps {
-        eprintln!(
-            "check-query: FAIL — engine decode throughput regressed more than \
-             {MAX_REGRESSION}x ({:.1} vs baseline {base_dps:.1} decodes/s)",
-            meas.best_engine_decodes_per_sec
-        );
-        ok = false;
-    }
-    if ok {
-        println!("check-query: OK");
-    }
-    ok
 }

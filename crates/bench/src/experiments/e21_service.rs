@@ -41,31 +41,26 @@
 //! * **bounded queues** — the sampled in-flight depth never exceeds
 //!   `queue_capacity` plus the transient reserve-then-check overshoot.
 //!
-//! `experiments check-service` re-runs the quick soak in CI and fails on
-//! any silent-wrong answer, any deadline overrun, a throughput ratio below
-//! the floor, or missing degradation/shed coverage (guarding the
-//! checked-in `BENCH_service.json`).
+//! The stream, the shard faults, the oracle and the tally are the shared
+//! [`crate::soak`] harness; this soak adds the unloaded phase and the paced
+//! query workers. `experiments check-service` re-runs the quick soak in CI
+//! and enforces [`verdicts`] (guarding the checked-in `BENCH_service.json`).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BrownoutConfig, CheckpointConfig, ConnectivityService, Overload, QueryPolicy, QueryRequest,
-    ServiceConfig, ServiceError, SupervisedAnswer, SupervisorConfig, TokenBucketConfig,
+    BrownoutConfig, ConnectivityService, Overload, QueryPolicy, QueryRequest, QueryResponse,
+    ServiceConfig, ServiceError, TokenBucketConfig,
 };
-use dgs_field::prng::*;
-use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, HyperEdge, Hypergraph, Update};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler};
 use dgs_obs::Registry;
-use dgs_sketch::SketchError;
 
-use super::e20_chaos::exact_components;
-use crate::baseline::{summary_pass, Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::Table;
-use crate::workloads::forest_build;
+use crate::soak::{Soak, Tally};
 
 /// Everything E21 measures.
 pub struct Measurement {
@@ -96,22 +91,13 @@ pub struct Measurement {
     pub rejected_quota: u64,
     pub rejected_circuit_open: u64,
     pub rejected_cost: u64,
-    /// Admitted queries answered (Full or Degraded).
-    pub answered: u64,
-    /// Degraded answers among the answered.
-    pub degraded: u64,
-    /// Unknown answers (every offered repetition failed to decode).
-    pub unknown: u64,
-    /// Honest `DeadlineExceeded` answers.
-    pub deadline_honest: u64,
-    /// Answered values that disagreed with ground truth. MUST be 0.
-    pub silent_wrong: u64,
+    /// How the admitted queries' answers scored against exact truth at
+    /// their epochs.
+    pub tally: Tally,
     /// Admitted queries whose latency blew deadline + tolerance. MUST be 0.
     pub deadline_overruns: u64,
     /// Repetitions shed by brownout/cost admission over the soak.
     pub shed_repetitions: u64,
-    /// Smallest effective_delta any degraded answer carried (δ^R′).
-    pub worst_effective_delta: f64,
     /// Largest sampled in-flight depth.
     pub max_queue_depth: usize,
     /// Admitted + rejected per loaded second.
@@ -136,19 +122,39 @@ impl Measurement {
             + self.rejected_cost
     }
 
-    /// The CI acceptance predicate: zero silent-wrong, zero deadline
-    /// overruns, ingest holds the floor, queues stayed bounded, and the
-    /// soak actually exercised degradation and typed shedding.
-    pub fn acceptable(&self) -> bool {
-        self.silent_wrong == 0
-            && self.deadline_overruns == 0
-            && self.ingest_ratio() >= self.ingest_floor
-            && self.max_queue_depth <= self.queue_capacity + self.workers + 1
-            && self.attempted == self.admitted + self.rejected_total()
-            && self.answered > 0
-            && self.degraded > 0
-            && self.rejected_quota > 0
+    /// The in-flight depth the queue may reach: capacity plus the transient
+    /// reserve-then-check overshoot of each worker and the driving thread.
+    fn depth_bound(&self) -> usize {
+        self.queue_capacity + self.workers + 1
     }
+}
+
+/// The acceptance verdicts: the shared soak verdicts, zero deadline
+/// overruns, ingest holds the floor, queues stayed bounded, every query is
+/// accounted for, and the soak actually exercised degradation and typed
+/// shedding.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    let rejected = m.rejected_total();
+    m.tally
+        .verdicts()
+        .zero("deadline_overruns", m.deadline_overruns)
+        .at_least("ingest_ratio", m.ingest_ratio(), m.ingest_floor)
+        .check(
+            format!(
+                "max_queue_depth {} <= {}",
+                m.max_queue_depth,
+                m.depth_bound()
+            ),
+            m.max_queue_depth <= m.depth_bound(),
+        )
+        .equal(
+            "attempted",
+            m.attempted,
+            "admitted + rejected",
+            m.admitted + rejected,
+        )
+        .positive("degraded", m.tally.degraded)
+        .positive("rejected_quota", m.rejected_quota)
 }
 
 /// Latency slack added to the requested deadline before an admitted query
@@ -156,7 +162,6 @@ impl Measurement {
 /// so a single scheduler hiccup or stalled decode may land just past the
 /// wall — honest `DeadlineExceeded` is the verdict for those, not silence.
 const OVERRUN_TOLERANCE: Duration = Duration::from_millis(150);
-const DELTA: f64 = 0.5;
 
 /// The scripted load campaign. Spikes are sized to exhaust the token
 /// bucket deterministically (each majority query in a burst charges R
@@ -185,46 +190,6 @@ fn campaign(seed: u64, len: usize, spike: u32) -> ChaosCampaign {
         .at(at(0.70), ChaosFault::LoadSpike { queries: spike })
 }
 
-/// One admitted query's outcome, recorded by whichever thread ran it.
-struct Rec {
-    epoch: u64,
-    /// `Some` for Full/Degraded (the value to verify), `None` otherwise.
-    value: Option<usize>,
-    degraded: bool,
-    effective_delta: f64,
-    unknown: bool,
-    deadline_exceeded: bool,
-    latency: Duration,
-}
-
-fn record(resp: &dgs_core::QueryResponse<usize>) -> Rec {
-    let mut rec = Rec {
-        epoch: resp.epoch,
-        value: None,
-        degraded: false,
-        effective_delta: 1.0,
-        unknown: false,
-        deadline_exceeded: false,
-        latency: resp.latency,
-    };
-    match &resp.answer {
-        SupervisedAnswer::Full { value, .. } => rec.value = Some(*value),
-        SupervisedAnswer::Degraded {
-            value,
-            effective_delta,
-            ..
-        } => {
-            rec.value = Some(*value);
-            rec.degraded = true;
-            rec.effective_delta = *effective_delta;
-        }
-        SupervisedAnswer::Unknown { .. } => rec.unknown = true,
-        SupervisedAnswer::DeadlineExceeded { .. } => rec.deadline_exceeded = true,
-        SupervisedAnswer::Invalid(e) => panic!("valid query flagged invalid: {e}"),
-    }
-    rec
-}
-
 /// Indexes a typed rejection into the per-rung counters.
 fn reject_index(o: &Overload) -> usize {
     match o {
@@ -238,10 +203,11 @@ fn reject_index(o: &Overload) -> usize {
 /// Runs the soak. Separated from [`run`] so the CI guard (`check-service`)
 /// can re-measure without printing tables.
 pub fn measure(quick: bool) -> Measurement {
-    let n: usize = if quick { 24 } else { 32 };
-    let repetitions: usize = if quick { 3 } else { 5 };
-    let workers: usize = if quick { 2 } else { 4 };
-    let cycles: usize = if quick { 30 } else { 80 };
+    let (n, repetitions, workers, cycles) = if quick {
+        (24, 3, 2, 30)
+    } else {
+        (32, 5, 4, 80)
+    };
     // Workers issue an open-loop bounded offered load (a think-time pace
     // between attempts) rather than a closed hammering loop: the claim
     // under test is that serving steady query traffic does not stall the
@@ -257,55 +223,14 @@ pub fn measure(quick: bool) -> Measurement {
     // to catch the catastrophic regression (queries blocking the write
     // path); the full soak must hold the headline 80% floor.
     let ingest_floor = if quick { 0.35 } else { 0.8 };
-    let seed: u64 = 0xE21;
     let deadline = Duration::from_millis(250);
-
-    // Workload: the E20 churn-cycle construction — real deletions, edge
-    // multiplicities returning to zero between cycles.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
-    let base = churn_stream(
-        &h,
-        ChurnConfig {
-            noise_ratio: 1.0,
-            churn_ratio: 0.5,
-        },
-        &mut rng,
-    );
-    let mut updates: Vec<Update> = Vec::with_capacity(base.updates.len() * cycles);
-    for cycle in 0..cycles {
-        if cycle % 2 == 0 {
-            updates.extend(base.updates.iter().cloned());
-        } else {
-            for u in base.updates.iter().rev() {
-                updates.push(match u.op {
-                    dgs_hypergraph::Op::Insert => Update::delete(u.edge.clone()),
-                    dgs_hypergraph::Op::Delete => Update::insert(u.edge.clone()),
-                });
-            }
-        }
-    }
+    let soak = Soak::new("e21", n, repetitions, 0xE21, cycles);
+    let (updates, dirs) = (&soak.updates, &soak.dir);
     let len = updates.len();
 
-    let dirs = std::env::temp_dir().join(format!("dgs-e21-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dirs);
-
-    let sup_cfg = SupervisorConfig {
-        repetitions,
-        threads: 2,
-        batch_size: 32,
-        // The poisoned shard must stay down so later views are honestly
-        // degraded for the rest of the soak (E20 owns the repair ladder).
-        rebuild_after_flushes: u64::MAX,
-        scrub_interval: 0,
-        delta: DELTA,
-        checkpoint: CheckpointConfig {
-            snapshot_interval: (len / 8).max(256) as u64,
-            ..CheckpointConfig::default()
-        },
-        seed,
-        ..SupervisorConfig::default()
-    };
+    // The poisoned shard stays down so later views are honestly degraded
+    // for the rest of the soak (E20 owns the repair ladder).
+    let sup_cfg = soak.supervisor();
     let svc_cfg = ServiceConfig {
         queue_capacity: workers.max(2),
         // Sized so the steady worker load (FirstSuccess ≈ 1 net token per
@@ -346,11 +271,11 @@ pub fn measure(quick: bool) -> Measurement {
                 n,
                 2,
                 sup_cfg,
-                forest_build(n, seed ^ 0xB00),
+                soak.build(),
             )
             .expect("add baseline tenant");
             let t0 = Instant::now();
-            for u in &updates {
+            for u in updates {
                 svc.push("t0", u).expect("baseline push");
             }
             svc.flush("t0").expect("baseline flush");
@@ -372,11 +297,11 @@ pub fn measure(quick: bool) -> Measurement {
         n,
         2,
         sup_cfg,
-        forest_build(n, seed ^ 0xB00),
+        soak.build(),
     )
     .expect("add load tenant");
 
-    let camp = campaign(seed, len, spike);
+    let camp = campaign(soak.seed, len, spike);
     let mut sched = ChaosScheduler::new(&camp);
     sched.set_sink(&registry.sink());
     let events = sched.len();
@@ -384,8 +309,17 @@ pub fn measure(quick: bool) -> Measurement {
     let done = AtomicBool::new(false);
     let stall_queries = AtomicU32::new(0);
     let stall_millis = AtomicU32::new(0);
-    let records: Mutex<Vec<Rec>> = Mutex::new(Vec::new());
+    let responses: Mutex<Vec<QueryResponse<usize>>> = Mutex::new(Vec::new());
     let rejects: [AtomicU64; 4] = Default::default();
+    // Files an admitted response or counts a typed rejection.
+    let file = |result: Result<QueryResponse<usize>, ServiceError>,
+                admitted: &mut Vec<QueryResponse<usize>>| match result {
+        Ok(resp) => admitted.push(resp),
+        Err(ServiceError::Overload(o)) => {
+            rejects[reject_index(&o)].fetch_add(1, Ordering::AcqRel);
+        }
+        Err(e) => panic!("query failed: {e}"),
+    };
 
     let decode = |_shard: usize, s: &SpanningForestSketch| {
         if stall_queries
@@ -418,64 +352,32 @@ pub fn measure(quick: bool) -> Measurement {
     std::thread::scope(|sc| {
         for _ in 0..workers {
             sc.spawn(|| {
-                let mut local: Vec<Rec> = Vec::new();
-                let mut local_rej = [0u64; 4];
+                let mut local = Vec::new();
                 while !done.load(Ordering::Acquire) {
-                    match svc.query("t0", &worker_req, decode) {
-                        Ok(resp) => local.push(record(&resp)),
-                        Err(ServiceError::Overload(o)) => {
-                            local_rej[reject_index(&o)] += 1;
-                        }
-                        Err(e) => panic!("worker query failed: {e}"),
-                    }
+                    file(svc.query("t0", &worker_req, decode), &mut local);
                     std::thread::sleep(pace);
                 }
-                records.lock().expect("records lock").extend(local);
-                for (i, r) in local_rej.iter().enumerate() {
-                    rejects[i].fetch_add(*r, Ordering::AcqRel);
-                }
+                responses.lock().expect("responses lock").extend(local);
             });
         }
 
-        let mut spike_recs: Vec<Rec> = Vec::new();
+        let mut spike_responses = Vec::new();
         let t0 = Instant::now();
         let mut excluded = Duration::ZERO;
         for (pos, u) in updates.iter().enumerate() {
             for event in sched.due(pos) {
+                let fired = svc.with_ingestor("t0", |ing| soak.fire(ing, event.fault, pos));
+                if fired.expect("chaos tenant") {
+                    continue;
+                }
                 match event.fault {
-                    ChaosFault::ShardError { shard, attempts } => {
-                        svc.with_ingestor("t0", |ing| {
-                            ing.inject_apply_fault(
-                                shard % repetitions,
-                                SketchError::failure("chaos", "transient shard error"),
-                                attempts,
-                            );
-                        })
-                        .expect("chaos tenant");
-                    }
-                    ChaosFault::ShardPoison { shard } => {
-                        svc.with_ingestor("t0", |ing| {
-                            ing.inject_apply_fault(
-                                shard % repetitions,
-                                SketchError::failure("chaos", "poisoned shard"),
-                                u32::MAX,
-                            );
-                        })
-                        .expect("chaos tenant");
-                    }
                     ChaosFault::LoadSpike { queries } => {
                         // A synchronous burst from the driving thread: it
                         // blocks ingest by design, so its wall time is
                         // excluded from the throughput window.
                         let burst = Instant::now();
                         for _ in 0..queries {
-                            match svc.query("t0", &spike_req, decode) {
-                                Ok(resp) => spike_recs.push(record(&resp)),
-                                Err(ServiceError::Overload(o)) => {
-                                    rejects[reject_index(&o)].fetch_add(1, Ordering::AcqRel);
-                                }
-                                Err(e) => panic!("spike query failed: {e}"),
-                            }
+                            file(svc.query("t0", &spike_req, decode), &mut spike_responses);
                         }
                         excluded += burst.elapsed();
                     }
@@ -500,63 +402,22 @@ pub fn measure(quick: bool) -> Measurement {
         // view before stopping them.
         std::thread::sleep(Duration::from_millis(30));
         done.store(true, Ordering::Release);
-        records.lock().expect("records lock").extend(spike_recs);
+        responses
+            .lock()
+            .expect("responses lock")
+            .extend(spike_responses);
     });
 
-    let recs = records.into_inner().expect("records lock");
-
-    // Verify every answered value against exact ground truth *at its
-    // epoch*: one forward sweep over the distinct epochs seen.
-    let mut epochs: Vec<u64> = recs.iter().map(|r| r.epoch).collect();
-    epochs.sort_unstable();
-    epochs.dedup();
-    let mut truth: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut live: BTreeMap<HyperEdge, i64> = BTreeMap::new();
-    let mut idx = 0usize;
-    for &e in &epochs {
-        while idx < e as usize {
-            let u = &updates[idx];
-            *live.entry(u.edge.clone()).or_insert(0) += u.op.delta();
-            idx += 1;
-        }
-        truth.insert(e, exact_components(n, &live));
-    }
-
-    let mut answered = 0u64;
-    let mut degraded = 0u64;
-    let mut unknown = 0u64;
-    let mut deadline_honest = 0u64;
-    let mut silent_wrong = 0u64;
-    let mut deadline_overruns = 0u64;
-    let mut worst_effective_delta = 1.0f64;
-    for r in &recs {
-        if let Some(value) = r.value {
-            answered += 1;
-            if r.degraded {
-                degraded += 1;
-                worst_effective_delta = worst_effective_delta.min(r.effective_delta);
-            }
-            if truth.get(&r.epoch) != Some(&value) {
-                silent_wrong += 1;
-            }
-        } else if r.unknown {
-            unknown += 1;
-        } else if r.deadline_exceeded {
-            deadline_honest += 1;
-        }
-        if r.latency > deadline + OVERRUN_TOLERANCE {
-            deadline_overruns += 1;
-        }
-    }
-
+    // Every answered value is checked against exact truth *at its epoch*.
+    let responses = responses.into_inner().expect("responses lock");
+    let deadline_overruns = responses
+        .iter()
+        .filter(|r| r.latency > deadline + OVERRUN_TOLERANCE)
+        .count() as u64;
+    let admitted = responses.len() as u64;
+    let tally = soak.tally(responses.into_iter().map(|r| (r.epoch, r.answer)).collect());
     let rejected: Vec<u64> = rejects.iter().map(|c| c.load(Ordering::Acquire)).collect();
-    let admitted = recs.len() as u64;
     let attempted = admitted + rejected.iter().sum::<u64>();
-    let shed_repetitions = registry
-        .counter_value("dgs_core_service_shed_repetitions{tenant=\"t0\"}")
-        .unwrap_or(0);
-
-    let _ = std::fs::remove_dir_all(&dirs);
     Measurement {
         n,
         repetitions,
@@ -573,14 +434,11 @@ pub fn measure(quick: bool) -> Measurement {
         rejected_quota: rejected[1],
         rejected_circuit_open: rejected[2],
         rejected_cost: rejected[3],
-        answered,
-        degraded,
-        unknown,
-        deadline_honest,
-        silent_wrong,
+        tally,
         deadline_overruns,
-        shed_repetitions,
-        worst_effective_delta,
+        shed_repetitions: registry
+            .counter_value("dgs_core_service_shed_repetitions{tenant=\"t0\"}")
+            .unwrap_or(0),
         max_queue_depth,
         queries_per_sec: attempted as f64 / loaded_secs.max(1e-9),
     }
@@ -588,6 +446,7 @@ pub fn measure(quick: bool) -> Measurement {
 
 pub fn run(quick: bool) {
     let meas = measure(quick);
+    let t = &meas.tally;
     let mut table = Table::new(
         "E21: service queries/sec under sustained ingest (overload ladder)",
         &["metric", "value"],
@@ -634,14 +493,10 @@ pub fn run(quick: bool) {
             "answers",
             format!(
                 "{} answered ({} degraded, worst delta {:.4}), {} unknown, {} deadline",
-                meas.answered,
-                meas.degraded,
-                meas.worst_effective_delta,
-                meas.unknown,
-                meas.deadline_honest
+                t.answered, t.degraded, t.worst_effective_delta, t.unknown, t.deadline
             ),
         ),
-        ("silent-wrong answers", meas.silent_wrong.to_string()),
+        ("silent-wrong answers", t.silent_wrong.to_string()),
         ("deadline overruns", meas.deadline_overruns.to_string()),
         (
             "brownout shedding",
@@ -660,19 +515,17 @@ pub fn run(quick: bool) {
     }
     table.note("answers verified against exact ground truth at each response's frozen epoch");
     table.note("spike bursts block the driving thread and are excluded from the throughput window");
-    table.note(format!(
-        "acceptance: zero silent-wrong, zero overruns, ratio >= floor, bounded queues, \
-         degraded > 0, quota rejections > 0 — {}",
-        if meas.acceptable() { "PASS" } else { "FAIL" }
-    ));
+    let verdicts = verdicts(&meas);
+    table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, verdicts.pass());
 }
 
 /// `BENCH_service.json` in the shared [`crate::baseline`] schema: one row
 /// per scored aspect (throughput, accounting, honesty), counters and the
-/// overall verdict in `summary`.
-fn write_baseline(meas: &Measurement) {
+/// overall verdict ([`verdicts`]) in `summary`.
+fn write_baseline(meas: &Measurement, pass: bool) {
+    let t = &meas.tally;
     let mut b = Baseline::new("e21-service").config(
         Fields::new()
             .usize("n", meas.n)
@@ -703,102 +556,75 @@ fn write_baseline(meas: &Measurement) {
             .usize("max_queue_depth", meas.max_queue_depth)
             .f64("queries_per_sec", meas.queries_per_sec, 1),
         meas.attempted == meas.admitted + meas.rejected_total()
-            && meas.max_queue_depth <= meas.queue_capacity + meas.workers + 1,
+            && meas.max_queue_depth <= meas.depth_bound(),
     );
     b.row(
         Fields::new()
             .str("aspect", "honesty")
-            .u64("answered", meas.answered)
-            .u64("degraded", meas.degraded)
-            .u64("unknown", meas.unknown)
-            .u64("deadline_honest", meas.deadline_honest)
-            .u64("silent_wrong", meas.silent_wrong)
+            .u64("answered", t.answered)
+            .u64("degraded", t.degraded)
+            .u64("unknown", t.unknown)
+            .u64("deadline_honest", t.deadline)
+            .u64("silent_wrong", t.silent_wrong)
             .u64("deadline_overruns", meas.deadline_overruns)
             .u64("shed_repetitions", meas.shed_repetitions)
-            .f64("worst_effective_delta", meas.worst_effective_delta, 6),
-        meas.silent_wrong == 0 && meas.deadline_overruns == 0,
+            .f64("worst_effective_delta", t.worst_effective_delta, 6),
+        t.silent_wrong == 0 && meas.deadline_overruns == 0,
     );
     b.summary(
         Fields::new()
             .f64("ingest_ratio", meas.ingest_ratio(), 4)
-            .u64("silent_wrong", meas.silent_wrong)
+            .u64("silent_wrong", t.silent_wrong)
             .u64("deadline_overruns", meas.deadline_overruns)
-            .u64("degraded", meas.degraded)
+            .u64("degraded", t.degraded)
             .u64("rejected_total", meas.rejected_total())
-            .bool("acceptable", meas.acceptable()),
-        meas.acceptable(),
+            .bool("acceptable", pass),
+        pass,
     )
     .write("BENCH_service.json");
 }
 
-/// CI guard: the checked-in baseline must pass, and a fresh quick soak
-/// must be acceptable too. Returns `false` on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-service: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-service: FAIL — checked-in {baseline_path} records a failing soak");
-        ok = false;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::baseline::{guard, passing_baseline};
+
+    /// A soak that answered nothing fails the guard even when every other
+    /// verdict holds.
+    #[test]
+    fn guard_enforces_answered() {
+        let mut m = Measurement {
+            n: 32,
+            repetitions: 5,
+            updates: 39_440,
+            events: 5,
+            workers: 4,
+            queue_capacity: 4,
+            baseline_updates_per_sec: 6733.0,
+            loaded_updates_per_sec: 5803.8,
+            ingest_floor: 0.8,
+            attempted: 344,
+            admitted: 270,
+            rejected_queue_full: 0,
+            rejected_quota: 74,
+            rejected_circuit_open: 0,
+            rejected_cost: 0,
+            tally: Tally {
+                answered: 270,
+                degraded: 191,
+                worst_effective_delta: 0.0625,
+                ..Tally::default()
+            },
+            deadline_overruns: 0,
+            shed_repetitions: 1,
+            max_queue_depth: 1,
+            queries_per_sec: 50.6,
+        };
+        let path = passing_baseline("e21");
+        let path = path.to_str().unwrap();
+        assert!(guard("check-service", path, || verdicts(&m)));
+        m.tally.answered = 0;
+        assert!(!guard("check-service", path, || verdicts(&m)));
+        let _ = std::fs::remove_file(path);
     }
-    let meas = measure(true);
-    println!(
-        "check-service: ratio {:.3} (floor {:.2}), {} admitted / {} attempted, \
-         silent-wrong {}, overruns {}, degraded {}, quota-rejected {}",
-        meas.ingest_ratio(),
-        meas.ingest_floor,
-        meas.admitted,
-        meas.attempted,
-        meas.silent_wrong,
-        meas.deadline_overruns,
-        meas.degraded,
-        meas.rejected_quota
-    );
-    if meas.silent_wrong > 0 {
-        eprintln!(
-            "check-service: FAIL — {} silent-wrong answers (the bar is zero)",
-            meas.silent_wrong
-        );
-        ok = false;
-    }
-    if meas.deadline_overruns > 0 {
-        eprintln!(
-            "check-service: FAIL — {} admitted queries blew deadline + tolerance",
-            meas.deadline_overruns
-        );
-        ok = false;
-    }
-    if meas.ingest_ratio() < meas.ingest_floor {
-        eprintln!(
-            "check-service: FAIL — ingest under load kept only {:.1}% of baseline \
-             (floor {:.0}%)",
-            meas.ingest_ratio() * 100.0,
-            meas.ingest_floor * 100.0
-        );
-        ok = false;
-    }
-    if meas.max_queue_depth > meas.queue_capacity + meas.workers + 1 {
-        eprintln!(
-            "check-service: FAIL — sampled in-flight depth {} exceeded capacity {} \
-             plus the transient reserve window",
-            meas.max_queue_depth, meas.queue_capacity
-        );
-        ok = false;
-    }
-    if meas.degraded == 0 || meas.rejected_quota == 0 {
-        eprintln!(
-            "check-service: FAIL — soak coverage missing (degraded {}, quota-rejected {})",
-            meas.degraded, meas.rejected_quota
-        );
-        ok = false;
-    }
-    if ok {
-        println!("check-service: OK");
-    }
-    ok
 }

@@ -27,10 +27,12 @@
 //! both sides; traced ingest must keep ≥ 95% of untraced throughput in
 //! full mode (the quick CI floor absorbs small-runner noise).
 //!
-//! `experiments check-trace` re-runs the quick soak in CI and fails on
-//! any missing/duplicated root, orphan or evicted span, unaccounted
-//! postmortem, unreadable postmortem file, or an overhead ratio below
-//! the floor (guarding the checked-in `BENCH_trace.json`).
+//! Every answer the traced soak returns is scored against exact truth at
+//! its epoch, like E20's and E21's: the stream, the shard faults, the
+//! oracle and the tally are the shared [`crate::soak`] harness, and this
+//! soak adds the trace accounting and the overhead phase.
+//! `experiments check-trace` re-runs the quick soak in CI and enforces
+//! [`verdicts`] (guarding the checked-in `BENCH_trace.json`).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -38,19 +40,17 @@ use std::time::{Duration, Instant};
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BreakerConfig, BrownoutConfig, CheckpointConfig, ConnectivityService, QueryPolicy,
-    QueryRequest, ServiceConfig, ServiceError, SupervisedIngestor, SupervisorConfig,
-    TokenBucketConfig,
+    BreakerConfig, BrownoutConfig, ConnectivityService, QueryPolicy, QueryRequest, ServiceConfig,
+    ServiceError, SupervisedIngestor, TokenBucketConfig,
 };
-use dgs_field::prng::*;
-use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
-use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler, Hypergraph, Update};
+use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler};
 use dgs_obs::Registry;
 use dgs_sketch::SketchError;
 use dgs_trace::{FlightRecorder, Postmortem, Tracer};
 
-use crate::baseline::{summary_pass, Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::Table;
+use crate::soak::{Soak, Tally};
 use crate::workloads::forest_build;
 
 /// Everything E22 measures.
@@ -65,6 +65,9 @@ pub struct Measurement {
     pub events: usize,
     /// Queries attempted (admitted + typed rejections).
     pub requests: u64,
+    /// How the admitted queries' answers scored against exact truth at
+    /// their epochs.
+    pub tally: Tally,
     /// `dgs_core_service_request` root spans in the snapshot.
     pub request_roots: u64,
     /// Distinct trace ids among those roots.
@@ -115,28 +118,31 @@ impl Measurement {
     pub fn expected_postmortems(&self) -> u64 {
         self.quarantines + self.deadline_missed + self.breaker_trips
     }
-
-    /// The CI acceptance predicate.
-    pub fn acceptable(&self) -> bool {
-        self.request_roots == self.requests
-            && self.distinct_trace_ids == self.requests
-            && self.flush_roots > 0
-            && self.orphans == 0
-            && self.evicted == 0
-            && self.torn == 0
-            && self.exemplars > 0
-            && self.dangling_exemplars == 0
-            && self.quarantines >= 1
-            && self.deadline_missed >= 1
-            && self.breaker_trips >= 1
-            && self.postmortems_written == self.expected_postmortems()
-            && self.postmortems_readable == self.postmortems_written
-            && self.postmortems_with_tree > 0
-            && self.overhead_ratio() >= self.overhead_floor
-    }
 }
 
-const DELTA: f64 = 0.5;
+/// The acceptance verdicts: the shared soak verdicts, complete and clean
+/// traces, one readable postmortem per typed failure (each class forced
+/// at least once), and traced ingest above the overhead floor.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    let (written, readable) = (m.postmortems_written, m.postmortems_readable);
+    m.tally
+        .verdicts()
+        .equal("request_roots", m.request_roots, "requests", m.requests)
+        .equal("trace_ids", m.distinct_trace_ids, "requests", m.requests)
+        .positive("flush_roots", m.flush_roots)
+        .zero("orphans", m.orphans)
+        .zero("evicted", m.evicted)
+        .zero("torn", m.torn)
+        .positive("exemplars", m.exemplars)
+        .zero("dangling_exemplars", m.dangling_exemplars)
+        .positive("quarantines", m.quarantines)
+        .positive("deadline_missed", m.deadline_missed)
+        .positive("breaker_trips", m.breaker_trips)
+        .equal("postmortems", written, "expected", m.expected_postmortems())
+        .equal("readable", readable, "written", written)
+        .positive("postmortems_with_tree", m.postmortems_with_tree)
+        .at_least("overhead_ratio", m.overhead_ratio(), m.overhead_floor)
+}
 
 /// The scripted failure campaign: a transient shard error (retry spans), a
 /// poisoning (quarantine postmortem), and a late stall burst sized to trip
@@ -161,31 +167,10 @@ fn campaign(seed: u64, len: usize, trip_after: u32) -> ChaosCampaign {
         )
 }
 
-fn sup_config(repetitions: usize, len: usize, seed: u64) -> SupervisorConfig {
-    SupervisorConfig {
-        repetitions,
-        threads: 2,
-        batch_size: 32,
-        // The poisoned shard must stay quarantined: its postmortem is the
-        // artifact under test, and a rebuild would fire a second one.
-        rebuild_after_flushes: u64::MAX,
-        scrub_interval: 0,
-        delta: DELTA,
-        checkpoint: CheckpointConfig {
-            snapshot_interval: (len / 8).max(256) as u64,
-            ..CheckpointConfig::default()
-        },
-        seed,
-        ..SupervisorConfig::default()
-    }
-}
-
 /// Runs the soak. Separated from [`run`] so the CI guard (`check-trace`)
 /// can re-measure without printing tables.
 pub fn measure(quick: bool) -> Measurement {
-    let n: usize = if quick { 24 } else { 32 };
-    let repetitions: usize = if quick { 3 } else { 5 };
-    let cycles: usize = if quick { 12 } else { 40 };
+    let (n, repetitions, cycles) = if quick { (24, 3, 12) } else { (32, 5, 40) };
     let query_stride: usize = 64;
     let trials: usize = if quick { 3 } else { 5 };
     let overhead_floor = if quick { 0.75 } else { 0.95 };
@@ -196,39 +181,14 @@ pub fn measure(quick: bool) -> Measurement {
     // cost-headroom budget — a third stalled query would be CostRejected,
     // not deadline-missed, and the breaker would never fire.
     let trip_after: u32 = 2;
-    let seed: u64 = 0xE22;
     let deadline = Duration::from_millis(100);
-
-    // Workload: the E20/E21 churn-cycle construction.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = Hypergraph::from_graph(&gnp(n, 0.25, &mut rng));
-    let base = churn_stream(
-        &h,
-        ChurnConfig {
-            noise_ratio: 1.0,
-            churn_ratio: 0.5,
-        },
-        &mut rng,
-    );
-    let mut updates: Vec<Update> = Vec::with_capacity(base.updates.len() * cycles);
-    for cycle in 0..cycles {
-        if cycle % 2 == 0 {
-            updates.extend(base.updates.iter().cloned());
-        } else {
-            for u in base.updates.iter().rev() {
-                updates.push(match u.op {
-                    dgs_hypergraph::Op::Insert => Update::delete(u.edge.clone()),
-                    dgs_hypergraph::Op::Delete => Update::insert(u.edge.clone()),
-                });
-            }
-        }
-    }
+    let soak = Soak::new("e22", n, repetitions, 0xE22, cycles);
+    let (updates, dirs, seed) = (&soak.updates, &soak.dir, soak.seed);
     let len = updates.len();
 
-    let dirs = std::env::temp_dir().join(format!("dgs-e22-{}-{seed}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dirs);
-
-    let sup_cfg = sup_config(repetitions, len, seed);
+    // The poisoned shard must stay quarantined: its postmortem is the
+    // artifact under test, and a rebuild would fire a second one.
+    let sup_cfg = soak.supervisor();
     let svc_cfg = ServiceConfig {
         queue_capacity: 4,
         quota: TokenBucketConfig {
@@ -272,7 +232,7 @@ pub fn measure(quick: bool) -> Measurement {
         n,
         2,
         sup_cfg,
-        forest_build(n, seed ^ 0xB00),
+        soak.build(),
     )
     .expect("add tenant");
 
@@ -303,57 +263,34 @@ pub fn measure(quick: bool) -> Measurement {
     };
 
     let mut requests = 0u64;
-    let mut pending_stalls = 0u32;
+    let mut answers = Vec::new();
+    let mut query = || {
+        requests += 1;
+        match svc.query("t0", &req, decode) {
+            Ok(resp) => answers.push((resp.epoch, resp.answer)),
+            Err(ServiceError::Overload(_)) => {}
+            Err(e) => panic!("query failed: {e}"),
+        }
+    };
     for (pos, u) in updates.iter().enumerate() {
         for event in sched.due(pos) {
-            match event.fault {
-                ChaosFault::ShardError { shard, attempts } => {
-                    svc.with_ingestor("t0", |ing| {
-                        ing.inject_apply_fault(
-                            shard % repetitions,
-                            SketchError::failure("chaos", "transient shard error"),
-                            attempts,
-                        );
-                    })
-                    .expect("chaos tenant");
-                }
-                ChaosFault::ShardPoison { shard } => {
-                    svc.with_ingestor("t0", |ing| {
-                        ing.inject_apply_fault(
-                            shard % repetitions,
-                            SketchError::failure("chaos", "poisoned shard"),
-                            u32::MAX,
-                        );
-                    })
-                    .expect("chaos tenant");
-                }
-                ChaosFault::SlowConsumer { queries, .. } => {
-                    pending_stalls = queries;
-                }
-                // Load spikes and durability faults are E20/E21's soaks.
-                _ => {}
+            let fired = svc.with_ingestor("t0", |ing| soak.fire(ing, event.fault, pos));
+            if fired.expect("chaos tenant") {
+                continue;
             }
-        }
-        if pending_stalls > 0 {
-            // The stall burst: each query eats one stalled decode and lands
-            // an honest DeadlineExceeded; the last one trips the breaker.
-            stall_queries.store(pending_stalls, Ordering::Release);
-            for _ in 0..pending_stalls {
-                requests += 1;
-                match svc.query("t0", &req, decode) {
-                    Ok(_) | Err(ServiceError::Overload(_)) => {}
-                    Err(e) => panic!("stalled query failed: {e}"),
+            if let ChaosFault::SlowConsumer { queries, .. } = event.fault {
+                // The stall burst: each query eats one stalled decode and
+                // lands an honest DeadlineExceeded; the last one trips the
+                // breaker.
+                stall_queries.store(queries, Ordering::Release);
+                for _ in 0..queries {
+                    query();
                 }
             }
-            pending_stalls = 0;
         }
         svc.push("t0", u).expect("push");
         if pos % query_stride == 0 {
-            requests += 1;
-            match svc.query("t0", &req, decode) {
-                Ok(_) | Err(ServiceError::Overload(_)) => {}
-                Err(e) => panic!("query failed: {e}"),
-            }
+            query();
         }
     }
     svc.flush("t0").expect("flush");
@@ -422,7 +359,7 @@ pub fn measure(quick: bool) -> Measurement {
                 dirs.join(format!("{tag}-snap")),
                 n,
                 2,
-                sup_config(repetitions, len, seed),
+                sup_cfg,
                 forest_build(n, seed ^ 0x0FF),
             )
             .expect("overhead ingestor");
@@ -431,7 +368,7 @@ pub fn measure(quick: bool) -> Measurement {
                 ing.set_tracer(&overhead_tracer);
             }
             let t0 = Instant::now();
-            for u in &updates {
+            for u in updates {
                 ing.push(u).expect("overhead push");
             }
             ing.flush().expect("overhead flush");
@@ -447,13 +384,13 @@ pub fn measure(quick: bool) -> Measurement {
         }
     }
 
-    let _ = std::fs::remove_dir_all(&dirs);
     Measurement {
         n,
         repetitions,
         updates: len,
         events,
         requests,
+        tally: soak.tally(answers),
         request_roots,
         distinct_trace_ids: trace_ids.len() as u64,
         flush_roots,
@@ -486,6 +423,17 @@ pub fn run(quick: bool) {
             format!(
                 "n = {}, R = {}, {} updates, {} chaos events, {} requests",
                 meas.n, meas.repetitions, meas.updates, meas.events, meas.requests
+            ),
+        ),
+        (
+            "answers",
+            format!(
+                "{} answered ({} degraded), {} unknown, {} deadline; {} silent-wrong",
+                meas.tally.answered,
+                meas.tally.degraded,
+                meas.tally.unknown,
+                meas.tally.deadline,
+                meas.tally.silent_wrong
             ),
         ),
         (
@@ -540,23 +488,28 @@ pub fn run(quick: bool) {
     table.note("one root span per request — typed rejections included, as marks inside the trace");
     table
         .note("postmortem accounting is exact: written == quarantines + deadlines + breaker trips");
-    table.note(format!(
-        "acceptance: roots == requests (distinct ids), zero orphans/evictions/torn reads, \
-         exact postmortems all readable, overhead ratio >= floor — {}",
-        if meas.acceptable() { "PASS" } else { "FAIL" }
-    ));
+    let verdicts = verdicts(&meas);
+    table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, verdicts.pass());
 }
 
-/// `BENCH_trace.json` in the shared [`crate::baseline`] schema.
-fn write_baseline(meas: &Measurement) {
+/// `BENCH_trace.json` in the shared [`crate::baseline`] schema; `pass` =
+/// [`verdicts`].
+fn write_baseline(meas: &Measurement, pass: bool) {
     let mut b = Baseline::new("e22-trace").config(
         Fields::new()
             .usize("n", meas.n)
             .usize("repetitions", meas.repetitions)
             .usize("updates", meas.updates)
             .usize("events", meas.events),
+    );
+    b.row(
+        Fields::new()
+            .str("aspect", "answers")
+            .u64("answered", meas.tally.answered)
+            .u64("silent_wrong", meas.tally.silent_wrong),
+        meas.tally.answered > 0 && meas.tally.silent_wrong == 0,
     );
     b.row(
         Fields::new()
@@ -610,91 +563,18 @@ fn write_baseline(meas: &Measurement) {
     b.summary(
         Fields::new()
             .u64("requests", meas.requests)
+            .u64("answered", meas.tally.answered)
+            .u64("silent_wrong", meas.tally.silent_wrong)
             .u64("request_roots", meas.request_roots)
             .u64("orphans", meas.orphans)
             .u64("evicted", meas.evicted)
             .u64("postmortems_written", meas.postmortems_written)
             .u64("postmortems_expected", meas.expected_postmortems())
             .f64("overhead_ratio", meas.overhead_ratio(), 4)
-            .bool("acceptable", meas.acceptable()),
-        meas.acceptable(),
+            .bool("acceptable", pass),
+        pass,
     )
     .write("BENCH_trace.json");
-}
-
-/// CI guard: the checked-in baseline must pass, and a fresh quick soak
-/// must be acceptable too. Returns `false` on any violation.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-trace: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-trace: FAIL — checked-in {baseline_path} records a failing soak");
-        ok = false;
-    }
-    let meas = measure(true);
-    println!(
-        "check-trace: {} roots / {} requests, {} orphans, {} evicted, \
-         postmortems {}/{} expected, overhead ratio {:.3} (floor {:.2})",
-        meas.request_roots,
-        meas.requests,
-        meas.orphans,
-        meas.evicted,
-        meas.postmortems_written,
-        meas.expected_postmortems(),
-        meas.overhead_ratio(),
-        meas.overhead_floor
-    );
-    if meas.request_roots != meas.requests || meas.distinct_trace_ids != meas.requests {
-        eprintln!(
-            "check-trace: FAIL — {} requests produced {} root spans ({} distinct ids)",
-            meas.requests, meas.request_roots, meas.distinct_trace_ids
-        );
-        ok = false;
-    }
-    if meas.orphans > 0 || meas.evicted > 0 || meas.torn > 0 {
-        eprintln!(
-            "check-trace: FAIL — snapshot not clean ({} orphans, {} evicted, {} torn)",
-            meas.orphans, meas.evicted, meas.torn
-        );
-        ok = false;
-    }
-    if meas.postmortems_written != meas.expected_postmortems()
-        || meas.postmortems_readable != meas.postmortems_written
-    {
-        eprintln!(
-            "check-trace: FAIL — postmortem accounting: {} written, {} expected, {} readable",
-            meas.postmortems_written,
-            meas.expected_postmortems(),
-            meas.postmortems_readable
-        );
-        ok = false;
-    }
-    if meas.expected_postmortems() == 0 || meas.postmortems_with_tree == 0 {
-        eprintln!(
-            "check-trace: FAIL — soak coverage missing ({} typed failures, {} with tree)",
-            meas.expected_postmortems(),
-            meas.postmortems_with_tree
-        );
-        ok = false;
-    }
-    if meas.overhead_ratio() < meas.overhead_floor {
-        eprintln!(
-            "check-trace: FAIL — traced ingest kept only {:.1}% of untraced (floor {:.0}%)",
-            meas.overhead_ratio() * 100.0,
-            meas.overhead_floor * 100.0
-        );
-        ok = false;
-    }
-    if ok {
-        println!("check-trace: OK");
-    }
-    ok
 }
 
 /// `obs-report --postmortem <file>`: render one postmortem to stdout.
@@ -708,5 +588,65 @@ pub fn render_postmortem(path: &str) -> bool {
             eprintln!("obs-report: cannot read postmortem {path}: {e}");
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::baseline::{guard, passing_baseline};
+
+    /// The full-mode soak as `BENCH_trace.json` records it.
+    fn recorded() -> Measurement {
+        Measurement {
+            n: 32,
+            repetitions: 5,
+            updates: 19_400,
+            events: 3,
+            requests: 306,
+            tally: Tally {
+                answered: 258,
+                silent_wrong: 0,
+                ..Tally::default()
+            },
+            request_roots: 306,
+            distinct_trace_ids: 306,
+            flush_roots: 683,
+            orphans: 0,
+            evicted: 0,
+            torn: 0,
+            exemplars: 161,
+            dangling_exemplars: 0,
+            quarantines: 1,
+            deadline_missed: 2,
+            breaker_trips: 1,
+            postmortems_written: 4,
+            postmortems_readable: 4,
+            postmortems_with_tree: 4,
+            untraced_updates_per_sec: 5030.8,
+            traced_updates_per_sec: 5252.8,
+            overhead_floor: 0.95,
+        }
+    }
+
+    /// Each verdict the hand-written guard used to skip fails the runner
+    /// on its own.
+    #[test]
+    fn guard_enforces_answers_flush_roots_and_exemplars() {
+        let path = passing_baseline("e22");
+        let path = path.to_str().unwrap();
+        assert!(guard("check-trace", path, || verdicts(&recorded())));
+        let breaks: [fn(&mut Measurement); 4] = [
+            |m| m.dangling_exemplars = 1,
+            |m| m.flush_roots = 0,
+            |m| m.tally.answered = 0,
+            |m| m.tally.silent_wrong = 1,
+        ];
+        for (i, broken) in breaks.into_iter().enumerate() {
+            let mut m = recorded();
+            broken(&mut m);
+            assert!(!guard("check-trace", path, || verdicts(&m)), "break {i}");
+        }
+        let _ = std::fs::remove_file(path);
     }
 }

@@ -29,7 +29,7 @@ use dgs_field::{Codec, Reader, SeedTree, Writer};
 use dgs_hypergraph::generators::gnm;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph, VertexId};
 
-use crate::baseline::{json_bool_field, json_f64_field, summary_pass, Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::Table;
 use crate::workloads::{default_stream, lean_forest};
 
@@ -110,6 +110,19 @@ pub struct Measurement {
     pub rows: Vec<RowOut>,
     pub min_sparse_ingest_speedup: f64,
     pub min_sparse_decode_speedup: f64,
+}
+
+/// The acceptance verdicts: every row passes — exact against the
+/// sketch-only oracle at every cut and through recovery, sparse rows
+/// resident above both floors, dense rows spilled.
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    m.rows.iter().fold(Verdicts::new(), |v, r| {
+        let row = format!(
+            "{} spill@{} support {}",
+            r.label, r.spill_threshold, r.support
+        );
+        v.check(format!("{row} passes"), r.pass)
+    })
 }
 
 /// One row: verify at three cuts (correctness pass), then time ingest and
@@ -349,7 +362,8 @@ pub fn run(quick: bool) {
     write_baseline(&meas);
 }
 
-/// `BENCH_hybrid.json` in the shared [`crate::baseline`] schema.
+/// `BENCH_hybrid.json` in the shared [`crate::baseline`] schema; `pass` =
+/// [`verdicts`].
 fn write_baseline(meas: &Measurement) {
     let mut b = Baseline::new("e23-hybrid").config(
         Fields::new()
@@ -378,7 +392,6 @@ fn write_baseline(meas: &Measurement) {
             r.pass,
         );
     }
-    let all_pass = meas.rows.iter().all(|r| r.pass);
     b.summary(
         Fields::new()
             .f64(
@@ -391,91 +404,7 @@ fn write_baseline(meas: &Measurement) {
                 meas.min_sparse_decode_speedup,
                 3,
             ),
-        all_pass,
+        verdicts(meas).pass(),
     )
     .write("BENCH_hybrid.json");
-}
-
-/// CI guard: the checked-in baseline must pass its own acceptance (every
-/// row exact, sparse floors cleared), and a fresh quick re-measurement
-/// must reproduce it — answers byte-identical to the sketch-only oracle in
-/// every row, sparse ingest ≥ 5x and exact decode ≥ 10x. The floors are
-/// far below the measured margins (tens of x), so runner noise cannot trip
-/// them; correctness failures are what this guard is for.
-pub fn check(baseline_path: &str) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("check-hybrid: cannot read {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let mut ok = true;
-    if summary_pass(&baseline) != Some(true) {
-        eprintln!("check-hybrid: FAIL — checked-in baseline summary pass != true");
-        ok = false;
-    }
-    if json_f64_field(&baseline, "schema_version") != Some(1.0) {
-        eprintln!("check-hybrid: FAIL — baseline schema_version != 1");
-        ok = false;
-    }
-    for key in ["min_sparse_ingest_speedup", "min_sparse_decode_speedup"] {
-        match json_f64_field(&baseline, key) {
-            Some(v) => {
-                let floor = if key.contains("ingest") {
-                    SPARSE_INGEST_FLOOR
-                } else {
-                    SPARSE_DECODE_FLOOR
-                };
-                if v < floor {
-                    eprintln!("check-hybrid: FAIL — baseline {key} = {v:.3} below floor {floor}");
-                    ok = false;
-                }
-            }
-            None => {
-                eprintln!("check-hybrid: FAIL — no {key} in {baseline_path}");
-                ok = false;
-            }
-        }
-    }
-    // Rows carry `"answers_match": bool`; the first false anywhere means a
-    // checked-in row saw the hybrid diverge from the oracle.
-    if json_bool_field(&baseline, "answers_match").is_none() {
-        eprintln!("check-hybrid: FAIL — baseline rows missing answers_match");
-        ok = false;
-    }
-
-    let meas = measure(true);
-    for r in &meas.rows {
-        println!(
-            "check-hybrid: {} spill@{} support {}: ingest {:.1}x, decode {:.1}x, \
-             oracle-exact {}, pass {}",
-            r.label,
-            r.spill_threshold,
-            r.support,
-            r.ingest_speedup,
-            r.decode_speedup,
-            r.answers_match && r.bytes_match && r.recovery_ok,
-            r.pass
-        );
-        if !r.pass {
-            eprintln!(
-                "check-hybrid: FAIL — fresh {} row (spill {}, support {}) failed \
-                 (answers {}, bytes {}, recovery {}, ingest {:.2}x, decode {:.2}x)",
-                r.label,
-                r.spill_threshold,
-                r.support,
-                r.answers_match,
-                r.bytes_match,
-                r.recovery_ok,
-                r.ingest_speedup,
-                r.decode_speedup
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("check-hybrid: OK");
-    }
-    ok
 }

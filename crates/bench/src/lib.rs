@@ -7,11 +7,14 @@
 //!
 //! Support modules: [`report`] (aligned text tables), [`stats`] (means,
 //! rates), [`workloads`] (shared workload builders and lean sketch
-//! parameters sized so a full `all` run fits laptop memory).
+//! parameters sized so a full `all` run fits laptop memory), [`soak`] (the
+//! chaos-soak harness of E20–E22) and [`baseline`] (the `BENCH_*.json`
+//! schema and the CI guard runner).
 
 pub mod baseline;
 pub mod experiments;
 pub mod microbench;
 pub mod report;
+pub mod soak;
 pub mod stats;
 pub mod workloads;

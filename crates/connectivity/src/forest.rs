@@ -451,158 +451,6 @@ impl SpanningForestSketch {
         (keys, by_row)
     }
 
-    /// Minimum vertex rows per ingest stripe. Below this the per-batch
-    /// thread spawn and cache handoff cost more than the rows' apply work,
-    /// so the effective thread count is reduced instead — stripe
-    /// granularity stays proportional to rows per thread.
-    const MIN_STRIPE_ROWS: usize = 8;
-
-    /// Target working-set bytes of one sub-chunk pass of a stripe (all
-    /// rounds of the sub-chunk's rows). Sized to comfortably fit a
-    /// commodity L2 so a worker's scatter destinations stay cache-resident
-    /// while it cycles through the rounds.
-    const SUB_CHUNK_TARGET_BYTES: usize = 512 << 10;
-
-    /// [`try_update_batch`](Self::try_update_batch) with the per-vertex
-    /// sampler rows striped across the persistent sticky worker pool
-    /// ([`dgs_pool::StickyPool`]).
-    ///
-    /// Striping is deterministic and seed-stable: the vertex rows are cut
-    /// into at most `threads` **contiguous chunks** of at least
-    /// [`MIN_STRIPE_ROWS`](Self::MIN_STRIPE_ROWS) rows, stripe `t` is
-    /// always submitted to pool worker `t` (sticky ownership — the same
-    /// OS thread touches the same sampler rows batch after batch, so the
-    /// rows stay hot in that core's cache), and each worker applies its
-    /// rows' updates in stream order — so every sampler cell sees exactly
-    /// the sequence of field additions the sequential path performs, and
-    /// the result is bit-identical for every thread count. Two further
-    /// levers over the earlier scoped-thread version:
-    ///
-    /// * **Parallel round planning.** Per-round [`L0Plan`]s depend only on
-    ///   the round's seeds and the aggregated key list, so they are
-    ///   computed concurrently (round `r` on worker `r % threads`) instead
-    ///   of sequentially before the fan-out — planning was the serial
-    ///   fraction that capped striped speedup well below the thread count.
-    /// * **Cache-sized sub-chunking.** Within a stripe, rows are processed
-    ///   in sub-chunks sized so one pass (all rounds of the sub-chunk)
-    ///   writes at most [`SUB_CHUNK_TARGET_BYTES`](Self::SUB_CHUNK_TARGET_BYTES)
-    ///   of sampler state, keeping the scatter destinations L2-resident.
-    ///
-    /// Plans are deterministic functions of `(seed, keys)`, and each
-    /// sampler still receives exactly one `apply_planned_many` call with
-    /// the same items in the same order, so neither lever affects the
-    /// byte-identity contract.
-    pub fn try_update_batch_striped(
-        &mut self,
-        updates: &[(HyperEdge, i64)],
-        threads: usize,
-    ) -> SketchResult<()> {
-        let nv = self.vertices.len();
-        // Chunk size proportional to rows per thread, floored so tiny
-        // sketches collapse to fewer (or one) worker.
-        let chunk = nv
-            .div_ceil(threads.max(1))
-            .max(Self::MIN_STRIPE_ROWS.min(nv.max(1)));
-        let stripes = nv.div_ceil(chunk.max(1));
-        if stripes <= 1 || updates.is_empty() {
-            return self.try_update_batch(updates);
-        }
-        for (e, _) in updates {
-            self.validate_edge(e)?;
-        }
-        // Aggregate in the field once; the key list is shared by all plans.
-        let (keys, by_row) = self.aggregate_batch(updates);
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let rounds = self.rounds;
-        // Rows of one sub-chunk pass: all `rounds` samplers of each row.
-        let row_pass_bytes = rounds * self.samplers[0].state_len() * std::mem::size_of::<Fp>();
-        let sub_rows = (Self::SUB_CHUNK_TARGET_BYTES / row_pass_bytes.max(1)).max(1);
-        dgs_pool::with_local_pool(stripes, |pool| {
-            // Phase 1: plan every round concurrently. Each job owns one
-            // slot of `plan_slots` (disjoint `&mut` from `iter_mut`), and
-            // the scope barrier guarantees all slots are filled before the
-            // fan-out below reads them.
-            let mut plan_slots: Vec<Option<SketchResult<dgs_sketch::L0Plan>>> =
-                (0..rounds).map(|_| None).collect();
-            {
-                let samplers = &self.samplers;
-                let keys = &keys;
-                pool.scope(|scope| {
-                    for (round, slot) in plan_slots.iter_mut().enumerate() {
-                        let sampler = &samplers[round * nv];
-                        scope.spawn(round, move || {
-                            *slot = Some(sampler.plan_updates(keys));
-                        });
-                    }
-                });
-            }
-            let mut plans = Vec::with_capacity(rounds);
-            for slot in plan_slots {
-                plans.push(slot.expect("plan job did not run")?);
-            }
-            // Hand each stripe exclusive slices of its rows: per round, the
-            // sampler table is row-major by vertex, so stripe `t` owns the
-            // contiguous sub-slice `[t*chunk, min((t+1)*chunk, nv))` of
-            // every round — no per-row option table, no interleaved
-            // ownership.
-            let mut stripe_slices: Vec<Vec<&mut [L0Sampler]>> =
-                (0..stripes).map(|_| Vec::with_capacity(rounds)).collect();
-            let mut rest: &mut [L0Sampler] = &mut self.samplers;
-            for _ in 0..rounds {
-                let (mut row, tail) = rest.split_at_mut(nv);
-                rest = tail;
-                for slices in stripe_slices.iter_mut() {
-                    let take = chunk.min(row.len());
-                    let (head, row_tail) = row.split_at_mut(take);
-                    slices.push(head);
-                    row = row_tail;
-                }
-            }
-            // Phase 2: sticky fan-out — stripe `t` to worker `t`, every
-            // batch, for the pool's lifetime.
-            let mut results: Vec<SketchResult<()>> = (0..stripes).map(|_| Ok(())).collect();
-            pool.scope(|scope| {
-                for ((t, mut slices), result) in stripe_slices
-                    .into_iter()
-                    .enumerate()
-                    .zip(results.iter_mut())
-                {
-                    let plans = &plans;
-                    let by_row = &by_row;
-                    scope.spawn(t, move || {
-                        let lo = t * chunk;
-                        let stripe_rows = slices.first().map_or(0, |s| s.len());
-                        let mut start = 0usize;
-                        'subchunks: while start < stripe_rows {
-                            let end = (start + sub_rows).min(stripe_rows);
-                            for (round, plan) in plans.iter().enumerate() {
-                                for off in start..end {
-                                    let items = &by_row[lo + off];
-                                    if items.is_empty() {
-                                        continue;
-                                    }
-                                    if let Err(e) =
-                                        slices[round][off].apply_planned_many(plan, items)
-                                    {
-                                        *result = Err(e);
-                                        break 'subchunks;
-                                    }
-                                }
-                            }
-                            start = end;
-                        }
-                    });
-                }
-            });
-            for r in results {
-                r?;
-            }
-            Ok(())
-        })
-    }
-
     /// Applies a signed update for hyperedge `e` (+1 insert, -1 delete).
     ///
     /// # Panics
@@ -905,10 +753,8 @@ impl SpanningForestSketch {
     /// reaches `j`, skipping members whose touched watermark says their
     /// level `j` is zero, so no component sum is ever materialised beyond
     /// the level being peeled (a singleton's levels are copied). Component
-    /// slots are
-    /// carved into contiguous chunks across the worker pool — the same
-    /// contiguous-chunk striping discipline as
-    /// [`try_update_batch_striped`](Self::try_update_batch_striped); each
+    /// slots are carved into contiguous chunks across the worker pool,
+    /// chunk `t` always on pool worker `t`; each
     /// worker owns disjoint result ranges and its own peel scratch, and
     /// the per-slot outcomes are then scanned **sequentially in slot
     /// order**, so errors, merges, and certification decisions are
@@ -1495,36 +1341,6 @@ mod tests {
         scalar.encode(&mut wa);
         batched.encode(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
-    }
-
-    #[test]
-    fn striped_batched_update_is_bit_identical_for_all_thread_counts() {
-        use dgs_field::{Codec, Writer};
-        let mut rng = StdRng::seed_from_u64(22);
-        let n = 12;
-        let g = gnp(n, 0.4, &mut rng);
-        let updates: Vec<(HyperEdge, i64)> = g
-            .edges()
-            .map(|(u, v)| (HyperEdge::pair(u, v), 1i64))
-            .collect();
-        let mut reference = graph_sketch(n, 40);
-        for (e, d) in &updates {
-            reference.try_update(e, *d).unwrap();
-        }
-        let expected = {
-            let mut w = Writer::new();
-            reference.encode(&mut w);
-            w.into_bytes()
-        };
-        for threads in [1usize, 2, 3, 7, 16] {
-            let mut sk = graph_sketch(n, 40);
-            for chunk in updates.chunks(4) {
-                sk.try_update_batch_striped(chunk, threads).unwrap();
-            }
-            let mut w = Writer::new();
-            sk.encode(&mut w);
-            assert_eq!(w.into_bytes(), expected, "{threads} threads");
-        }
     }
 
     /// Asserts the engine replays the clone-and-merge reference exactly —

@@ -1,10 +1,10 @@
 //! Persistent sticky-shard worker pool.
 //!
-//! The batched ingest paths in this workspace parallelize over
-//! *independent* state — boosted repetitions in `dgs-core`, vertex-row
-//! stripes inside a single forest sketch in `dgs-connectivity`. The first
-//! generation of that code spawned a fresh `std::thread::scope` per batch,
-//! which has two costs that eat the parallel win on real streams:
+//! The parallel paths in this workspace stripe *independent* state —
+//! boosted repetitions in `dgs-core`'s batch apply and supervised flush,
+//! component slots of a forest sketch's decode in `dgs-connectivity`. The
+//! first generation of that code spawned a fresh `std::thread::scope` per
+//! batch, which has two costs that eat the parallel win on real streams:
 //!
 //! 1. **Spawn latency** — a batch is a few hundred microseconds of apply
 //!    work; creating and joining OS threads costs a meaningful fraction of
@@ -326,7 +326,7 @@ impl StickyPool {
     /// Attach (or re-attach) observability: per-worker mailbox depth gauges
     /// (`dgs_pool_mailbox_depth{worker="i"}`), per-worker busy-time
     /// histograms (`dgs_pool_worker_busy_ns{worker="i"}`), and pool-wide
-    /// park/unpark counters — the signals that make striped-ingest stalls
+    /// park/unpark counters — the signals that make striped-flush stalls
     /// (one deep mailbox, one saturated worker) visible in `obs-report`.
     ///
     /// Idempotent: re-attaching a sink backed by the same registry is a
@@ -473,7 +473,7 @@ thread_local! {
 /// thread's lifetime.
 ///
 /// This is the entry point for code that stripes *within* one call (the
-/// forest sketch's row-striped batch update and parallel decode): the
+/// boosted batch apply and the forest sketch's parallel decode): the
 /// caller has no natural place to own a pool, but per-call spawning is
 /// exactly what the pool exists to avoid. Keying the cache by thread keeps
 /// the single-producer mailbox discipline free (a thread only ever feeds

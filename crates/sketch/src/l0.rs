@@ -448,12 +448,6 @@ impl L0Sampler {
         self.levels.iter().all(|l| l.is_zero())
     }
 
-    /// Flat length of the sampler's linear state: every level's `W`, `S`
-    /// and `F` tables. Ingest sizes its cache-resident sub-chunks by it.
-    pub fn state_len(&self) -> usize {
-        self.levels.iter().map(|l| l.state_len()).sum()
-    }
-
     /// Samples a nonzero coordinate of the net vector.
     ///
     /// * `Ok(Some((index, weight)))` — a true nonzero (up to the negligible

@@ -18,9 +18,10 @@
 //! ([`plan_into`](SparseRecovery::plan_into) /
 //! [`apply_soa`](SparseRecovery::apply_soa)) hoists the `z^index`
 //! exponentiation and bucket hashing out of the per-cell loop entirely.
-//! The [`Codec`](dgs_field::Codec) encoding is versioned: new encodes carry
-//! a sentinel marker, while decoding still accepts the original
-//! array-of-`OneSparse` layout.
+//! The [`Codec`](dgs_field::Codec) encoding is versioned: every frame
+//! starts with a sentinel word and a version, and a frame without them
+//! (such as the retired array-of-`OneSparse` layout) is a typed
+//! [`CodecError`](dgs_field::CodecError).
 
 use dgs_field::{Fingerprinter, Fp, KWiseHash, PowTable, SeedTree};
 use dgs_obs::{Counter, Histogram, MetricsSink};
@@ -28,9 +29,9 @@ use dgs_obs::{Counter, Histogram, MetricsSink};
 use crate::error::{SketchError, SketchResult};
 use crate::one_sparse::{OneSparse, OneSparseDecode};
 
-/// Sentinel marking the versioned SoA encoding. The legacy layout begins
-/// with the dimension, which the workspace caps at `2^60`, so `u64::MAX`
-/// can never be a legacy first word.
+/// Sentinel marking the versioned SoA encoding. The retired pre-SoA layout
+/// began with the dimension, which the workspace caps at `2^60`, so such a
+/// frame can never pass for this one.
 const SOA_SENTINEL: u64 = u64::MAX;
 /// Version number of the SoA encoding (room for future layouts).
 const SOA_VERSION: u64 = 1;
@@ -325,12 +326,6 @@ impl SparseRecovery {
         Fp::sub_batch(&mut self.s, &rhs.s);
         Fp::sub_batch(&mut self.f, &rhs.f);
         Ok(())
-    }
-
-    /// Flat length of this structure's linear state: the three `rows x
-    /// cols` tables `W`, `S` and `F`.
-    pub fn state_len(&self) -> usize {
-        3 * self.w.len()
     }
 
     /// True iff every cell is zero (the net vector hashes to nothing).
@@ -684,19 +679,6 @@ impl SparseRecovery {
             + self.hashes.iter().map(|h| h.size_bytes()).sum::<usize>()
             + self.fper.size_bytes()
     }
-
-    /// Emits the pre-SoA array-of-cells layout — kept for compatibility
-    /// tests and as a downgrade path for tooling that still reads the old
-    /// format. New code should use [`Codec::encode`](dgs_field::Codec).
-    pub fn encode_legacy(&self, w: &mut dgs_field::Writer) {
-        use dgs_field::Codec;
-        w.put_u64(self.dimension);
-        w.put_usize(self.sparsity);
-        self.fper.encode(w);
-        self.hashes.to_vec().encode(w);
-        let cells: Vec<OneSparse> = self.cells().collect();
-        cells.encode(w);
-    }
 }
 
 impl dgs_field::Codec for SparseRecovery {
@@ -712,41 +694,30 @@ impl dgs_field::Codec for SparseRecovery {
         self.f.encode(w);
     }
     fn decode(r: &mut dgs_field::Reader<'_>) -> Result<Self, dgs_field::CodecError> {
-        let first = r.get_u64()?;
-        let (soa, dimension) = if first == SOA_SENTINEL {
-            let version = r.get_u64()?;
-            if version != SOA_VERSION {
-                return Err(dgs_field::CodecError {
-                    offset: 0,
-                    message: format!("unknown sparse-recovery encoding version {version}"),
-                });
-            }
-            (true, r.get_u64()?)
-        } else {
-            // Legacy layout: the first word was the dimension itself.
-            (false, first)
-        };
+        let sentinel = r.get_u64()?;
+        if sentinel != SOA_SENTINEL {
+            return Err(dgs_field::CodecError {
+                offset: 0,
+                message: format!(
+                    "sparse-recovery frame does not start with the SoA sentinel \
+                     (first word {sentinel:#x})"
+                ),
+            });
+        }
+        let version = r.get_u64()?;
+        if version != SOA_VERSION {
+            return Err(dgs_field::CodecError {
+                offset: 0,
+                message: format!("unknown sparse-recovery encoding version {version}"),
+            });
+        }
+        let dimension = r.get_u64()?;
         let sparsity = r.get_len(1 << 30)?.max(1);
         let fper = Fingerprinter::decode(r)?;
         let hashes: Vec<KWiseHash> = Vec::decode(r)?;
-        let (w, s, f) = if soa {
-            let w: Vec<Fp> = Vec::decode(r)?;
-            let s: Vec<Fp> = Vec::decode(r)?;
-            let f: Vec<Fp> = Vec::decode(r)?;
-            (w, s, f)
-        } else {
-            let cells: Vec<OneSparse> = Vec::decode(r)?;
-            let mut w = Vec::with_capacity(cells.len());
-            let mut s = Vec::with_capacity(cells.len());
-            let mut f = Vec::with_capacity(cells.len());
-            for c in &cells {
-                let (cw, cs, cf) = c.parts();
-                w.push(cw);
-                s.push(cs);
-                f.push(cf);
-            }
-            (w, s, f)
-        };
+        let w: Vec<Fp> = Vec::decode(r)?;
+        let s: Vec<Fp> = Vec::decode(r)?;
+        let f: Vec<Fp> = Vec::decode(r)?;
         let cols = 2 * sparsity;
         if hashes.is_empty()
             || w.len() != hashes.len() * cols
@@ -996,21 +967,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_codec_layout_still_decodes() {
+    fn frame_without_the_soa_sentinel_is_rejected() {
         let mut s = sr(22, 4);
         for (i, d) in [(42u64, 2i64), (77, -1), (D - 5, 3)] {
             s.update(i, d).unwrap();
         }
-        let mut legacy = Writer::new();
-        s.encode_legacy(&mut legacy);
-        let back =
-            <SparseRecovery as Codec>::decode(&mut Reader::new(&legacy.into_bytes())).unwrap();
-        // The decoded structure matches the original exactly: same support,
-        // same re-encoded (new-format) bytes.
-        assert_eq!(back.decode(), s.decode());
-        let (mut wa, mut wb) = (Writer::new(), Writer::new());
-        s.encode(&mut wa);
-        back.encode(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
+        let mut w = Writer::new();
+        s.encode(&mut w);
+        let soa = w.into_bytes();
+        // A frame in the retired pre-SoA layout opens with the dimension, as
+        // does this SoA frame with its sentinel and version words cut off.
+        let err = <SparseRecovery as Codec>::decode(&mut Reader::new(&soa[16..])).unwrap_err();
+        assert!(err.message.contains("SoA sentinel"), "{}", err.message);
+        // A known sentinel with an unknown version, and a truncated frame.
+        let mut bumped = soa.clone();
+        bumped[8] ^= 0x02;
+        let err = <SparseRecovery as Codec>::decode(&mut Reader::new(&bumped)).unwrap_err();
+        assert!(err.message.contains("version"), "{}", err.message);
+        assert!(<SparseRecovery as Codec>::decode(&mut Reader::new(&soa[..4])).is_err());
     }
 }

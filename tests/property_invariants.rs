@@ -281,8 +281,8 @@ fn light_recovery_equals_strength_filter() {
     }
 }
 
-/// Batched ingestion — single-sketch, striped, and the sharded boosted
-/// ingestor — is byte-identical (Codec encoding) to per-update ingestion,
+/// Batched ingestion — single-sketch and boosted repetitions through the
+/// striped batch apply — is byte-identical (Codec encoding) to per-update ingestion,
 /// across seeds, batch sizes, and thread counts, on random insert/delete
 /// streams salted with immediately-cancelling pairs (which the batched
 /// path aggregates away in the field).
@@ -320,17 +320,6 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
                 sk.try_update_batch(chunk).unwrap();
             }
             assert_eq!(encoded(&sk), expected, "trial {trial}, batch {batch}");
-            for threads in [2usize, 5] {
-                let mut sk = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-                for chunk in pairs.chunks(batch) {
-                    sk.try_update_batch_striped(chunk, threads).unwrap();
-                }
-                assert_eq!(
-                    encoded(&sk),
-                    expected,
-                    "trial {trial}, batch {batch}, threads {threads}"
-                );
-            }
         }
 
         // Boosted repetitions through the striped batch apply.
@@ -360,29 +349,19 @@ fn batched_ingest_encodes_byte_identical_to_sequential() {
 /// lane-straddling batch sizes × thread counts × mid-batch drains, and
 /// across many reuse cycles of the caller thread's cached pool — every
 /// combination below runs on this test thread, so the same pool (grown in
-/// place when a wider thread count appears) serves striped forest updates
-/// and striped boosted batches back to back. A stale mailbox or worker
-/// left over from a previous scope would surface as a byte difference.
+/// place when a wider thread count appears) serves every striped boosted
+/// batch. A stale mailbox or worker left over from a previous scope would
+/// surface as a byte difference.
 #[test]
 fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
     let n = 12;
     let mut rng = StdRng::seed_from_u64(0xD00F);
     let stream = random_stream(n, 140, &mut rng);
-    let pairs: Vec<(HyperEdge, i64)> = stream
-        .updates
-        .iter()
-        .map(|u| (u.edge.clone(), u.op.delta()))
-        .collect();
     let space = EdgeSpace::graph(n).unwrap();
     let params = ForestParams::new(Profile::Practical, space.dimension());
     let seeds = SeedTree::new(0xD00F);
 
-    // Sequential references: single sketch and 5 boosted repetitions.
-    let mut seq = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-    for (e, d) in &pairs {
-        seq.try_update(e, *d).unwrap();
-    }
-    let expected = encoded(&seq);
+    // Sequential reference: 5 boosted repetitions.
     let build =
         |i: usize| SpanningForestSketch::new_full(space.clone(), &seeds.child(i as u64), params);
     let mut serial = BoostedQuery::new(5, build);
@@ -396,13 +375,6 @@ fn pooled_ingest_is_identical_across_lanes_threads_and_drains() {
     // shrink and regrow so the cached pool is exercised at every width.
     for threads in [1usize, 2, 3, 8, 2] {
         for batch in [1usize, 3, 4, 5, 8, 64] {
-            // Striped forest updates share the pool with the ingestor runs.
-            let mut sk = SpanningForestSketch::new_full(space.clone(), &seeds, params);
-            for chunk in pairs.chunks(batch) {
-                sk.try_update_batch_striped(chunk, threads).unwrap();
-            }
-            assert_eq!(encoded(&sk), expected, "striped t={threads}, b={batch}");
-
             let mut boosted = BoostedQuery::new(5, build);
             let mut start = 0;
             for j in 0..stream.updates.len() {
