@@ -169,8 +169,15 @@ impl Baseline {
         out
     }
 
-    /// Writes to `path`, reporting like every experiment does.
-    pub fn write(&self, path: &str) {
+    /// Writes a full-mode run to `path`, reporting like every experiment
+    /// does. A quick run writes nothing: the checked-in files are the
+    /// full-mode baselines that the `check-*` guards and their floors read,
+    /// and a quick run from the repository root must not replace them.
+    pub fn write(&self, path: &str, quick: bool) {
+        if quick {
+            println!("  quick mode: {path} left unchanged");
+            return;
+        }
         match std::fs::write(path, self.render()) {
             Ok(()) => println!("  wrote {path}"),
             Err(e) => eprintln!("  could not write {path}: {e}"),
@@ -341,6 +348,20 @@ pub(crate) fn passing_baseline(tag: &str) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_full_mode_runs_write_their_baseline() {
+        let dir = std::env::temp_dir().join(format!("dgs-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_sample.json");
+        let file = path.to_str().unwrap();
+        let doc = Baseline::new("e99-sample").summary(Fields::new(), true);
+        doc.write(file, true);
+        assert!(!path.exists(), "a quick run wrote {file}");
+        doc.write(file, false);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc.render());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     fn sample() -> String {
         let mut b = Baseline::new("e99-sample").config(

@@ -193,13 +193,13 @@ pub fn run(quick: bool) {
     table.note("wal-only = no snapshots: recovery degrades to a full-log replay");
     table.print();
 
-    write_baseline(&rows, n, m, crash_at);
+    write_baseline(&rows, n, m, crash_at, quick);
 }
 
 /// `BENCH_recovery.json` in the shared [`crate::baseline`] schema: a row
 /// per snapshot cadence (`pass` = bit-exact recovery), summary `pass` =
 /// every cadence recovered exactly.
-fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize) {
+fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize, quick: bool) {
     let mut b = Baseline::new("e16-recovery").config(
         Fields::new()
             .usize("n", n)
@@ -223,5 +223,5 @@ fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize) {
     }
     let all_exact = rows.iter().all(|r| r.exact);
     b.summary(Fields::new().bool("all_exact", all_exact), all_exact)
-        .write("BENCH_recovery.json");
+        .write("BENCH_recovery.json", quick);
 }

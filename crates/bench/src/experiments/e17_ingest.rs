@@ -5,7 +5,7 @@
 //! per-update loop and share one `L0Plan` across every vertex row of a
 //! round; `BoostedQuery::apply_batch` then stripes independent boosted
 //! repetitions across the persistent sticky worker pool
-//! (`dgs_pool::StickyPool`). Because the field is exact and assignment is
+//! (`dgs_pool::stripe`). Because the field is exact and assignment is
 //! deterministic, every variant is bit-identical to the scalar loop — this
 //! experiment asserts that in every row while measuring updates/sec, and
 //! writes the machine-readable baseline `BENCH_ingest.json` that the CI
@@ -268,13 +268,13 @@ pub fn run(quick: bool) {
     table.note("speedup is vs the scalar per-update loop of the same mode family");
     table.note("exact = final sketch encoding bit-identical to the scalar reference");
     table.print();
-    write_baseline(&meas, verdicts(&meas).pass());
+    write_baseline(&meas, verdicts(&meas).pass(), quick);
 }
 
 /// `BENCH_ingest.json` in the shared [`crate::baseline`] schema: a row per
 /// ingest variant (`pass` = bit-identity held) and the summary throughput
 /// aggregates the CI guard's floor reads.
-fn write_baseline(meas: &Measurement, pass: bool) {
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let mut b = Baseline::new("e17-ingest").config(
         Fields::new()
             .usize("n", meas.n)
@@ -304,5 +304,5 @@ fn write_baseline(meas: &Measurement, pass: bool) {
             ),
         pass,
     )
-    .write("BENCH_ingest.json");
+    .write("BENCH_ingest.json", quick);
 }

@@ -282,13 +282,13 @@ pub fn run(quick: bool) {
     table.note("rates are read from dgs_sketch_l0_* / dgs_core_boost_* counters, not retallied");
     table.note("bounds: starved δ = 1/2, boosted δ^R = 2^-R, Practical δ = 2^(-rows/2)");
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, quick);
 }
 
 /// `BENCH_obs.json` in the shared [`crate::baseline`] schema: a row per
 /// structure (`pass` = observed rate within 2x of its bound), summary
 /// `all_within_2x` = [`verdicts`].
-fn write_baseline(meas: &Measurement) {
+fn write_baseline(meas: &Measurement, quick: bool) {
     let all_within = verdicts(meas).pass();
     let mut b = Baseline::new("e18-obs").config(
         Fields::new()
@@ -311,7 +311,7 @@ fn write_baseline(meas: &Measurement) {
         );
     }
     b.summary(Fields::new().bool("all_within_2x", all_within), all_within)
-        .write("BENCH_obs.json");
+        .write("BENCH_obs.json", quick);
 }
 
 /// `experiments obs-report` — drives one representative workload through

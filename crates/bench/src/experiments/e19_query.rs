@@ -336,13 +336,13 @@ pub fn run(quick: bool) {
     );
     table.note("exact = decoded edges and component labels byte-identical to the baseline row");
     table.print();
-    write_baseline(&meas, verdicts(&meas).pass());
+    write_baseline(&meas, verdicts(&meas).pass(), quick);
 }
 
 /// `BENCH_query.json` in the shared [`crate::baseline`] schema: a row per
 /// decode engine configuration (`pass` = exactness held), summary speedup
 /// and throughput aggregates for the CI guard.
-fn write_baseline(meas: &Measurement, pass: bool) {
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let mut b = Baseline::new("e19-query").config(Fields::new().usize("trials", meas.trials));
     for r in &meas.rows {
         b.row(
@@ -367,5 +367,5 @@ fn write_baseline(meas: &Measurement, pass: bool) {
             ),
         pass,
     )
-    .write("BENCH_query.json");
+    .write("BENCH_query.json", quick);
 }

@@ -383,13 +383,13 @@ pub fn run(quick: bool) {
     let verdicts = verdicts(&meas);
     table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-    write_baseline(&meas, verdicts.pass());
+    write_baseline(&meas, verdicts.pass(), quick);
 }
 
 /// `BENCH_chaos.json` in the shared [`crate::baseline`] schema: the soak is
 /// one aggregate measurement, so all counters live in `summary` (no rows);
 /// `pass` = [`verdicts`].
-fn write_baseline(meas: &Measurement, pass: bool) {
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let t = &meas.tally;
     Baseline::new("e20-chaos")
         .config(
@@ -420,5 +420,5 @@ fn write_baseline(meas: &Measurement, pass: bool) {
                 .bool("acceptable", pass),
             pass,
         )
-        .write("BENCH_chaos.json");
+        .write("BENCH_chaos.json", quick);
 }

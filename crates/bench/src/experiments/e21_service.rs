@@ -518,13 +518,13 @@ pub fn run(quick: bool) {
     let verdicts = verdicts(&meas);
     table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-    write_baseline(&meas, verdicts.pass());
+    write_baseline(&meas, verdicts.pass(), quick);
 }
 
 /// `BENCH_service.json` in the shared [`crate::baseline`] schema: one row
 /// per scored aspect (throughput, accounting, honesty), counters and the
 /// overall verdict ([`verdicts`]) in `summary`.
-fn write_baseline(meas: &Measurement, pass: bool) {
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let t = &meas.tally;
     let mut b = Baseline::new("e21-service").config(
         Fields::new()
@@ -581,7 +581,7 @@ fn write_baseline(meas: &Measurement, pass: bool) {
             .bool("acceptable", pass),
         pass,
     )
-    .write("BENCH_service.json");
+    .write("BENCH_service.json", quick);
 }
 
 #[cfg(test)]

@@ -491,12 +491,12 @@ pub fn run(quick: bool) {
     let verdicts = verdicts(&meas);
     table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-    write_baseline(&meas, verdicts.pass());
+    write_baseline(&meas, verdicts.pass(), quick);
 }
 
 /// `BENCH_trace.json` in the shared [`crate::baseline`] schema; `pass` =
 /// [`verdicts`].
-fn write_baseline(meas: &Measurement, pass: bool) {
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let mut b = Baseline::new("e22-trace").config(
         Fields::new()
             .usize("n", meas.n)
@@ -574,7 +574,7 @@ fn write_baseline(meas: &Measurement, pass: bool) {
             .bool("acceptable", pass),
         pass,
     )
-    .write("BENCH_trace.json");
+    .write("BENCH_trace.json", quick);
 }
 
 /// `obs-report --postmortem <file>`: render one postmortem to stdout.

@@ -359,12 +359,12 @@ pub fn run(quick: bool) {
          decode >= {SPARSE_DECODE_FLOOR}x; dense rows must spill and stay exact"
     ));
     table.print();
-    write_baseline(&meas);
+    write_baseline(&meas, quick);
 }
 
 /// `BENCH_hybrid.json` in the shared [`crate::baseline`] schema; `pass` =
 /// [`verdicts`].
-fn write_baseline(meas: &Measurement) {
+fn write_baseline(meas: &Measurement, quick: bool) {
     let mut b = Baseline::new("e23-hybrid").config(
         Fields::new()
             .usize("n", meas.n)
@@ -406,5 +406,5 @@ fn write_baseline(meas: &Measurement) {
             ),
         verdicts(meas).pass(),
     )
-    .write("BENCH_hybrid.json");
+    .write("BENCH_hybrid.json", quick);
 }

@@ -578,33 +578,9 @@ impl SpanningForestSketch {
         self.decode_impl(false, 1, &mut DecodeScratch::new())
     }
 
-    /// [`try_decode`](Self::try_decode) with the per-round component
-    /// decodes striped across `threads` scoped worker threads; see
-    /// [`try_decode_with_scratch`](Self::try_decode_with_scratch).
-    pub fn try_decode_par(&self, threads: usize) -> SketchResult<Vec<HyperEdge>> {
-        Ok(self.try_decode_with_labels_par(threads)?.0)
-    }
-
-    /// [`try_decode_with_labels`](Self::try_decode_with_labels) with
-    /// parallel per-round component decodes.
-    pub fn try_decode_with_labels_par(
-        &self,
-        threads: usize,
-    ) -> SketchResult<(Vec<HyperEdge>, UnionFind)> {
-        self.decode_impl(false, threads, &mut DecodeScratch::new())
-    }
-
-    /// [`try_decode_with_labels_strict`](Self::try_decode_with_labels_strict)
-    /// with parallel per-round component decodes.
-    pub fn try_decode_with_labels_strict_par(
-        &self,
-        threads: usize,
-    ) -> SketchResult<(Vec<HyperEdge>, UnionFind)> {
-        self.decode_impl(true, threads, &mut DecodeScratch::new())
-    }
-
-    /// The full-control decode entry point: the decode engine with an
-    /// explicit thread count and a caller-owned reusable scratch.
+    /// The full-control decode entry point: the decode engine with the
+    /// per-round component samples striped over `threads` and a
+    /// caller-owned reusable scratch.
     ///
     /// A reused scratch keeps its grouping tables and per-stripe level
     /// buffers across calls (see [`DecodeScratch`]); the answer is
@@ -753,12 +729,13 @@ impl SpanningForestSketch {
     /// reaches `j`, skipping members whose touched watermark says their
     /// level `j` is zero, so no component sum is ever materialised beyond
     /// the level being peeled (a singleton's levels are copied). Component
-    /// slots are carved into contiguous chunks across the worker pool,
-    /// chunk `t` always on pool worker `t`; each
-    /// worker owns disjoint result ranges and its own peel scratch, and
-    /// the per-slot outcomes are then scanned **sequentially in slot
-    /// order**, so errors, merges, and certification decisions are
-    /// independent of thread interleaving.
+    /// slots are carved into contiguous chunks, which [`dgs_pool::stripe`]
+    /// runs with chunk `t` always on pool worker `t`; each chunk owns a
+    /// disjoint result range and its own peel scratch, and the per-slot
+    /// outcomes are then scanned **sequentially in slot order**, so errors,
+    /// merges, and certification decisions are independent of thread
+    /// interleaving. A chunk that panics fails the decode with a
+    /// retryable [`SketchError::SketchFailure`].
     ///
     /// Bit-identity with [`try_decode_reference`]
     /// (Self::try_decode_reference) holds because (a) field addition is
@@ -857,61 +834,45 @@ impl SpanningForestSketch {
                 peel.resize_with(stripes, dgs_sketch::PeelScratch::default);
             }
             let row = &self.samplers[round * nv..(round + 1) * nv];
-            // One stripe's work: sample every component of its slots.
-            // Returns the stripe's (fold, peel) times, which sum to its
-            // wall time.
-            let run_stripe = |slot_lo: usize,
-                              peel: &mut dgs_sketch::PeelScratch,
-                              res: &mut [SketchResult<Option<(u64, i64)>>]|
-             -> (u64, u64) {
-                let t0 = Instant::now();
-                peel.take_fold_ns();
-                for (k, outcome) in res.iter_mut().enumerate() {
-                    let slot = slot_lo + k;
-                    let group = &members[starts[slot] as usize..starts[slot + 1] as usize];
-                    // The first member's seeds are the template, as in the
-                    // reference, which clones it before merging the rest.
-                    let template = &row[group[0] as usize];
-                    *outcome = template.sample_sum(group.iter().map(|&m| &row[m as usize]), peel);
+            // Stripe `t` samples every component of its slots with its own
+            // peel scratch and returns its (fold, peel) times, which sum
+            // to its wall time.
+            let mut work: Vec<_> = results
+                .chunks_mut(chunk)
+                .zip(peel.iter_mut())
+                .enumerate()
+                .collect();
+            let phases = dgs_pool::stripe(
+                &mut work,
+                stripes,
+                None,
+                |(t, (res, peel))| {
+                    let t0 = Instant::now();
+                    peel.take_fold_ns();
+                    for (k, outcome) in res.iter_mut().enumerate() {
+                        let slot = *t * chunk + k;
+                        let group = &members[starts[slot] as usize..starts[slot + 1] as usize];
+                        // The first member's seeds are the template, as in
+                        // the reference, which clones it before merging the
+                        // rest.
+                        let template = &row[group[0] as usize];
+                        *outcome =
+                            template.sample_sum(group.iter().map(|&m| &row[m as usize]), peel);
+                    }
+                    let wall = t0.elapsed().as_nanos() as u64;
+                    let fold = peel.take_fold_ns().min(wall);
+                    Ok((fold, wall - fold))
+                },
+                |_| Err(SketchError::failure("forest", "decode stripe panicked")),
+            );
+            // The phase cost is the critical path: the slowest stripe.
+            let (mut fold, mut peeled) = (0, 0);
+            for phase in phases {
+                let (f, p) = phase?;
+                if f + p >= fold + peeled {
+                    (fold, peeled) = (f, p);
                 }
-                let wall = t0.elapsed().as_nanos() as u64;
-                let fold = peel.take_fold_ns().min(wall);
-                (fold, wall - fold)
-            };
-            let (fold, peeled) = if stripes <= 1 {
-                run_stripe(0, &mut peel[0], &mut results[..])
-            } else {
-                // Sticky fan-out on the persistent pool: stripe `t` goes to
-                // worker `t` every round, so a worker re-reads the sampler
-                // rows it folded the round before. Each job writes its
-                // phase times into its own `phase_ns` slot (disjoint
-                // `&mut` from `iter_mut`); the scope barrier fills them
-                // all before the slowest stripe is picked below.
-                let mut phase_ns: Vec<(u64, u64)> = vec![(0, 0); stripes];
-                dgs_pool::with_local_pool(stripes, |pool| {
-                    pool.scope(|scope| {
-                        let run_stripe = &run_stripe;
-                        let mut res_rest = &mut results[..];
-                        let mut peel_rest = &mut peel[..];
-                        for (stripe, phase) in phase_ns.iter_mut().enumerate() {
-                            let lo = stripe * chunk;
-                            let take = chunk.min(live - lo);
-                            let (res_mine, res_tail) = res_rest.split_at_mut(take);
-                            res_rest = res_tail;
-                            let (peel_mine, peel_tail) = peel_rest.split_at_mut(1);
-                            peel_rest = peel_tail;
-                            scope.spawn(stripe, move || {
-                                *phase = run_stripe(lo, &mut peel_mine[0], res_mine);
-                            });
-                        }
-                    });
-                });
-                // The phase cost is the critical path: the slowest stripe.
-                phase_ns
-                    .into_iter()
-                    .max_by_key(|&(f, p)| f + p)
-                    .unwrap_or((0, 0))
-            };
+            }
             fold_ns += fold;
             peel_ns += peeled;
             // Sequential post-pass in slot (ascending-root) order: strict

@@ -107,45 +107,39 @@ impl KSkeletonSketch {
     }
 
     /// [`try_decode_layers`](Self::try_decode_layers) with the per-layer
-    /// work spread over `threads` scoped worker threads.
+    /// work striped over `threads`.
     ///
     /// The layer loop itself is inherently sequential — `F_i` is decoded
     /// from `A^i(G) - Σ_{j<i} A^i(F_j)`, so layer `i` cannot start until
     /// every earlier forest is known. Parallelism comes from inside each
     /// step instead: each layer's Borůvka decode runs on the striped
-    /// decode engine, and each recovered forest is subtracted from the remaining
-    /// layers concurrently (disjoint `&mut` layer chunks, one scoped thread
-    /// each). Field addition is exact and each forest is applied to each
-    /// later layer exactly once, so the result is bit-identical to the
-    /// sequential peel for every thread count. One [`DecodeScratch`] is
+    /// decode engine, and each recovered forest is subtracted from the
+    /// remaining layers by [`dgs_pool::stripe`] (contiguous runs of
+    /// layers, each applying the forest with `try_update`). Field addition
+    /// is exact and each forest is applied to each later layer exactly
+    /// once, so the result is bit-identical to the sequential peel for
+    /// every thread count; a layer whose peel panics fails the decode with
+    /// a retryable [`SketchError::SketchFailure`]. One [`DecodeScratch`] is
     /// reused across all `k` decodes.
     pub fn try_decode_layers_par(&self, threads: usize) -> SketchResult<Vec<Vec<HyperEdge>>> {
         let mut recovered: Vec<Vec<HyperEdge>> = Vec::with_capacity(self.k);
         let mut adjusted: Vec<SpanningForestSketch> = self.layers.clone();
         let mut scratch = DecodeScratch::new();
         for i in 0..self.k {
-            let forest = adjusted[i]
+            let (done, rest) = adjusted.split_at_mut(i + 1);
+            let forest = done[i]
                 .try_decode_with_scratch(false, threads, &mut scratch)?
                 .0;
-            let rest = &mut adjusted[i + 1..];
-            if !forest.is_empty() && !rest.is_empty() {
-                let chunk = rest.len().div_ceil(threads.max(1)).max(1);
-                if chunk >= rest.len() {
-                    for layer in rest.iter_mut() {
-                        layer.apply_edges(forest.iter(), -1);
-                    }
-                } else {
-                    std::thread::scope(|scope| {
-                        for piece in rest.chunks_mut(chunk) {
-                            let forest = &forest;
-                            scope.spawn(move || {
-                                for layer in piece {
-                                    layer.apply_edges(forest.iter(), -1);
-                                }
-                            });
-                        }
-                    });
-                }
+            if !forest.is_empty() {
+                dgs_pool::stripe(
+                    rest,
+                    threads,
+                    None,
+                    |layer| forest.iter().try_for_each(|e| layer.try_update(e, -1)),
+                    |_| Err(SketchError::failure("skeleton", "layer peel panicked")),
+                )
+                .into_iter()
+                .collect::<SketchResult<()>>()?;
             }
             recovered.push(forest);
         }

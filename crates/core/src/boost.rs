@@ -22,19 +22,17 @@
 //!   *undetected* wrong answers, is [`QueryPolicy::Majority`] of
 //!   [`query_ensemble`].
 //! * [`apply_batch`](BoostedQuery::apply_batch) ingests a batch into every
-//!   repetition, striped across the caller thread's sticky worker pool.
+//!   repetition, striped by [`dgs_pool::stripe`].
 //!   Each repetition's sketch is independent, so no cross-thread merging is
 //!   needed and the striping cannot change a bit.
 //!
 //! The supervisor's flush ([`SupervisedIngestor`]) stripes its shards
-//! through the same routine, so a boosted ensemble is striped one way, with
-//! one panic contract, at every thread count.
+//! through the same primitive, so a boosted ensemble is striped one way,
+//! with one panic contract, at every thread count.
 //!
 //! [`QueryPolicy::Majority`]: crate::supervise::QueryPolicy::Majority
 //! [`query_ensemble`]: crate::supervise::query_ensemble
 //! [`SupervisedIngestor`]: crate::supervise::SupervisedIngestor
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dgs_hypergraph::Update;
 use dgs_obs::{Counter, Histogram, MetricsSink};
@@ -222,9 +220,10 @@ impl<S: Recoverable> BoostedQuery<S> {
     }
 
     /// Applies a batch to every repetition through
-    /// [`Recoverable::apply_batch`], striping the repetitions over
-    /// `min(threads, R)` workers of the caller thread's sticky pool (one
-    /// stripe runs inline). The final states are bit-identical to
+    /// [`Recoverable::apply_batch`], striping the repetitions with
+    /// [`dgs_pool::stripe`]: one stripe runs inline on the caller; at
+    /// `min(threads, R) >= 2` stripes, every stripe runs on a pool worker
+    /// while the caller waits. The final states are bit-identical to
     /// [`try_update`](Self::try_update) over the same updates at every
     /// `threads` and every way of cutting the stream into batches.
     ///
@@ -239,72 +238,16 @@ impl<S: Recoverable> BoostedQuery<S> {
     where
         S: Send,
     {
-        let results = apply_striped(
+        dgs_pool::stripe(
             &mut self.repetitions,
             threads,
-            &self.sink,
+            Some(&self.sink),
             |s| s.apply_batch(batch).map_err(|(_, e)| e),
             |_| Err(SketchError::failure("boosted-query", "repetition panicked")),
-        );
-        results.into_iter().collect()
-    }
-}
-
-/// Runs `apply` on every item, striped across the caller thread's sticky
-/// pool, and returns the results in item order. This is the one place that
-/// maps boosted repetitions to pool workers.
-///
-/// The items are cut into `stripes = min(threads, items.len())` contiguous
-/// runs (the first `items.len() % stripes` one item longer), and run `t`
-/// always goes to pool worker `t`: while the item count holds, an item
-/// stays on one worker call after call. A single stripe runs inline on the
-/// caller. A panic in `apply` is caught per item on either path and that
-/// item's result is `panicked(item)`: its stripe-mates still run, and the
-/// pool's own panic flag never trips. `sink` is attached to the pool's
-/// metrics.
-pub(crate) fn apply_striped<T: Send, R: Send>(
-    items: &mut [T],
-    threads: usize,
-    sink: &MetricsSink,
-    apply: impl Fn(&mut T) -> R + Sync,
-    panicked: impl Fn(&T) -> R,
-) -> Vec<R> {
-    let n = items.len();
-    let stripes = threads.min(n);
-    if stripes <= 1 {
-        return items
-            .iter_mut()
-            .map(|item| {
-                catch_unwind(AssertUnwindSafe(|| apply(&mut *item)))
-                    .unwrap_or_else(|_| panicked(item))
-            })
-            .collect();
-    }
-    let mut done: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let (mut rest, mut slots) = (&mut *items, &mut done[..]);
-    let apply = &apply;
-    dgs_pool::with_local_pool(stripes, |pool| {
-        pool.set_sink(sink);
-        pool.scope(|scope| {
-            for t in 0..stripes {
-                let len = n / stripes + usize::from(t < n % stripes);
-                let (stripe, tail) = std::mem::take(&mut rest).split_at_mut(len);
-                rest = tail;
-                let (out, tail) = std::mem::take(&mut slots).split_at_mut(len);
-                slots = tail;
-                scope.spawn(t, move || {
-                    for (item, slot) in stripe.iter_mut().zip(out) {
-                        *slot = catch_unwind(AssertUnwindSafe(|| apply(item))).ok();
-                    }
-                });
-            }
-        });
-    });
-    items
-        .iter()
-        .zip(done)
-        .map(|(item, r)| r.unwrap_or_else(|| panicked(item)))
+        )
+        .into_iter()
         .collect()
+    }
 }
 
 #[cfg(test)]

@@ -212,20 +212,7 @@ impl Recoverable for SpanningForestSketch {
     }
 
     fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
-        let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
-        if self.try_update_batch(&pairs).is_ok() {
-            return Ok(());
-        }
-        // The native kernel rejects an invalid batch atomically (no state
-        // touched), so the scalar loop can locate the offending index while
-        // preserving the applied-prefix contract above.
-        for (i, u) in batch.iter().enumerate() {
-            self.apply_update(u).map_err(|e| (i, e))?;
-        }
-        Ok(())
+        apply_batch_atomic(self, batch, Self::try_update_batch)
     }
 }
 
@@ -235,21 +222,31 @@ impl Recoverable for crate::HybridConnectivitySketch {
     }
 
     fn apply_batch(&mut self, batch: &[Update]) -> Result<(), (usize, SketchError)> {
-        let pairs: Vec<(dgs_hypergraph::HyperEdge, i64)> = batch
-            .iter()
-            .map(|u| (u.edge.clone(), u.op.delta()))
-            .collect();
-        if self.try_update_batch(&pairs).is_ok() {
-            return Ok(());
-        }
-        // Like the forest: the hybrid validates the whole batch before
-        // touching the buffer or the sketch, so a failed batch left no
-        // state behind and the scalar loop can locate the offending index.
-        for (i, u) in batch.iter().enumerate() {
-            self.apply_update(u).map_err(|e| (i, e))?;
-        }
-        Ok(())
+        apply_batch_atomic(self, batch, Self::try_update_batch)
     }
+}
+
+/// [`Recoverable::apply_batch`] for a sketch whose batch `kernel` rejects
+/// an invalid batch atomically (the forest and the hybrid validate the
+/// whole batch before touching any state): after a failed kernel call the
+/// scalar loop locates the offending index while keeping the
+/// applied-prefix contract.
+fn apply_batch_atomic<S: Recoverable>(
+    sketch: &mut S,
+    batch: &[Update],
+    kernel: impl FnOnce(&mut S, &[(dgs_hypergraph::HyperEdge, i64)]) -> SketchResult<()>,
+) -> Result<(), (usize, SketchError)> {
+    let pairs: Vec<_> = batch
+        .iter()
+        .map(|u| (u.edge.clone(), u.op.delta()))
+        .collect();
+    if kernel(sketch, &pairs).is_ok() {
+        return Ok(());
+    }
+    for (i, u) in batch.iter().enumerate() {
+        sketch.apply_update(u).map_err(|e| (i, e))?;
+    }
+    Ok(())
 }
 
 /// Why a particular snapshot file was rejected. Internal to the ladder —

@@ -71,17 +71,8 @@ impl EdgeConnSketch {
     /// instead of an understated `min(λ, k)`.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_edge_connectivity(&self) -> SketchResult<(usize, Vec<bool>)> {
-        self.try_edge_connectivity_par(1)
-    }
-
-    /// [`try_edge_connectivity`](Self::try_edge_connectivity) with the
-    /// skeleton's per-layer decode work spread over `threads` scoped
-    /// worker threads; the answer is bit-identical for every thread count
-    /// (see [`KSkeletonSketch::try_decode_layers_par`]).
-    #[must_use = "a dropped SketchResult hides a sketch failure"]
-    pub fn try_edge_connectivity_par(&self, threads: usize) -> SketchResult<(usize, Vec<bool>)> {
         let n = self.space().n();
-        let skeleton = Hypergraph::from_edges(n, self.skeleton.try_decode_par(threads)?);
+        let skeleton = Hypergraph::from_edges(n, self.skeleton.try_decode()?);
         Ok(match hyper_min_cut(&skeleton) {
             Some((lambda, side)) => (lambda.min(self.k), side),
             None => (0, vec![false; n]), // n < 2: no cut exists
@@ -243,21 +234,6 @@ mod tests {
             }
         }
         assert_eq!(sk.edge_connectivity().0, truth.min(4));
-    }
-
-    #[test]
-    fn parallel_edge_connectivity_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (g, _) = planted_edge_cut(7, 7, 2, 0.8, &mut rng);
-        let sk = sketch_for(&Hypergraph::from_graph(&g), 4, 110);
-        let seq = sk.try_edge_connectivity().unwrap();
-        for threads in [2usize, 4, 7] {
-            assert_eq!(
-                sk.try_edge_connectivity_par(threads).unwrap(),
-                seq,
-                "{threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -120,6 +120,10 @@ impl Default for BrownoutConfig {
     }
 }
 
+/// Fraction of a query's deadline the cost estimate may fill before the
+/// repetition count is cut (head-room for aggregation and scheduling).
+const COST_HEADROOM: f64 = 0.8;
+
 /// Service-level policy. Defaults are sized for the test/experiment scale.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
@@ -143,9 +147,6 @@ pub struct ServiceConfig {
     pub breaker: BreakerConfig,
     /// Brownout policy.
     pub brownout: BrownoutConfig,
-    /// Fraction of the deadline the cost estimate may fill before the
-    /// repetition count is cut (head-room for aggregation and scheduling).
-    pub cost_headroom: f64,
     /// Prior for the per-repetition decode cost EWMA, in nanoseconds.
     /// Seed it from the E19 query-latency baselines for the deployed
     /// sketch; it converges to observed behaviour within a few queries.
@@ -162,7 +163,6 @@ impl Default for ServiceConfig {
             recover_views: true,
             breaker: BreakerConfig::default(),
             brownout: BrownoutConfig::default(),
-            cost_headroom: 0.8,
             initial_cost_ns: 200_000,
         }
     }
@@ -436,11 +436,6 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
         assert!(
             cfg.quota.capacity > 0.0 && cfg.quota.refill_per_sec > 0.0,
             "quota capacity and refill must be positive"
-        );
-        assert!(
-            cfg.cost_headroom > 0.0 && cfg.cost_headroom <= 1.0,
-            "cost headroom {} outside (0, 1]",
-            cfg.cost_headroom
         );
         assert!(
             cfg.brownout.min_repetitions >= 1,
@@ -736,7 +731,7 @@ impl<S: Recoverable + Clone + Send + Sync> ConnectivityService<S> {
             // Cost model: how many sequential decodes fit in the
             // remaining budget? (FirstSuccess normally consults one, but
             // admission must bound the worst case.)
-            let budget_ns = deadline.as_nanos() as f64 * self.cfg.cost_headroom;
+            let budget_ns = deadline.as_nanos() as f64 * COST_HEADROOM;
             let per_rep = adm.per_rep_cost_ns.max(1.0);
             let fit = (budget_ns / per_rep) as usize;
             if fit == 0 {
@@ -1169,8 +1164,7 @@ mod tests {
                 } => {
                     assert_eq!(*healthy_repetitions, 2);
                     assert_eq!(*total_repetitions, 3);
-                    let delta = SupervisorConfig::default().delta;
-                    assert!((effective_delta - delta.powi(2)).abs() < 1e-12);
+                    assert!((effective_delta - 0.5f64.powi(2)).abs() < 1e-12);
                 }
                 other => panic!("expected Degraded, got {other:?}"),
             }
@@ -1257,6 +1251,70 @@ mod tests {
             .histogram_stats("dgs_core_service_query_ns{tenant=\"t0\"}")
             .unwrap();
         assert_eq!(stats.count, 1);
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    #[test]
+    fn cost_model_rejects_a_doomed_query_before_decode_and_charge() {
+        let registry = dgs_obs::Registry::new();
+        let cfg = ServiceConfig {
+            quota: TokenBucketConfig {
+                capacity: 3.0,
+                refill_per_sec: 0.001,
+            },
+            ..ServiceConfig::default()
+        };
+        let wal = tmpdir("cost-wal");
+        let snap = tmpdir("cost-snap");
+        let svc: ConnectivityService<SpanningForestSketch> =
+            ConnectivityService::with_sink(cfg, &registry.sink());
+        svc.add_tenant("t0", &wal, &snap, N, 2, sup_cfg(18), forest)
+            .unwrap();
+        svc.ingest_stream("t0", &workload(18, 96)).unwrap();
+        svc.refresh_view("t0").unwrap();
+        // 0.8 x 100 us of headroom cannot fit one decode at the default
+        // 200 us prior.
+        let doomed = QueryRequest {
+            deadline: Some(Duration::from_micros(100)),
+            ..QueryRequest::default()
+        };
+        let decodes = AtomicUsize::new(0);
+        let err = svc
+            .query("t0", &doomed, |i, s| {
+                decodes.fetch_add(1, Ordering::Relaxed);
+                components(i, s)
+            })
+            .unwrap_err();
+        match err {
+            ServiceError::Overload(Overload::CostRejected {
+                estimated,
+                deadline,
+            }) => {
+                assert_eq!(estimated, Duration::from_micros(200));
+                assert_eq!(deadline, Duration::from_micros(100));
+            }
+            other => panic!("expected CostRejected, got {other:?}"),
+        }
+        assert_eq!(
+            decodes.load(Ordering::Relaxed),
+            0,
+            "a rejected query decoded"
+        );
+        assert_eq!(
+            registry.counter_value("dgs_core_service_rejected_cost{tenant=\"t0\"}"),
+            Some(1)
+        );
+        assert_eq!(
+            registry.counter_value("dgs_core_service_admitted{tenant=\"t0\"}"),
+            Some(0)
+        );
+        // No token was charged: a Majority query still affords all three.
+        let req = QueryRequest {
+            policy: QueryPolicy::Majority,
+            ..QueryRequest::default()
+        };
+        assert_eq!(svc.query("t0", &req, components).unwrap().consulted, 3);
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
     }

@@ -51,7 +51,7 @@ use dgs_hypergraph::{HyperEdge, Update, UpdateStream};
 use dgs_obs::{Counter, Gauge, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
-use crate::boost::{apply_striped, BoostedQuery};
+use crate::boost::BoostedQuery;
 use crate::checkpoint::{
     CheckpointConfig, CheckpointStore, Recoverable, RecoveryDriver, RecoveryError,
 };
@@ -99,6 +99,10 @@ impl std::fmt::Display for ShardState {
     }
 }
 
+/// Per-repetition decode failure probability δ with which supervised
+/// answers *report* `effective_delta = δ^R′`; answers never depend on it.
+const DELTA: f64 = 0.5;
+
 /// Supervision policy. Defaults are sized for the test/experiment scale;
 /// production tunes per deployment.
 #[derive(Clone, Copy, Debug)]
@@ -127,9 +131,6 @@ pub struct SupervisorConfig {
     /// Updates between scrub audits (round-robin rebuild-and-byte-compare
     /// of one healthy shard); `0` disables scrubbing.
     pub scrub_interval: u64,
-    /// Per-repetition decode failure probability δ used to *report*
-    /// `effective_delta = δ^R′`; answers never depend on it.
-    pub delta: f64,
     /// Durability policy: WAL segmentation and snapshot cadence/seed.
     pub checkpoint: CheckpointConfig,
     /// Seed for backoff jitter (shard `i` uses `seed + i`).
@@ -147,7 +148,6 @@ impl Default for SupervisorConfig {
             backoff: BackoffConfig::default(),
             rebuild_after_flushes: 1,
             scrub_interval: 0,
-            delta: 0.5,
             checkpoint: CheckpointConfig::default(),
             seed: 0x5e1f_4ea1,
         }
@@ -447,8 +447,6 @@ pub struct FrozenEnsemble<S> {
     shards: Vec<(usize, Arc<S>)>,
     /// Configured ensemble size R.
     total: usize,
-    /// Per-repetition failure probability δ (reporting only).
-    delta: f64,
 }
 
 impl<S> FrozenEnsemble<S> {
@@ -469,7 +467,7 @@ impl<S> FrozenEnsemble<S> {
 
     /// Per-repetition failure probability δ the view reports with.
     pub fn delta(&self) -> f64 {
-        self.delta
+        DELTA
     }
 
     /// The frozen shards, as `(repetition index, sketch)` pairs.
@@ -500,7 +498,7 @@ impl<S> FrozenEnsemble<S> {
             .iter()
             .map(|(i, s)| (*i, s.as_ref()))
             .collect();
-        query_ensemble(&live, self.total, self.delta, budget, policy, decode)
+        query_ensemble(&live, self.total, DELTA, budget, policy, decode)
     }
 }
 
@@ -838,11 +836,6 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         assert!(cfg.batch_size >= 1, "batch size must be >= 1");
         assert!(cfg.threads >= 1, "need at least one thread");
         assert!(
-            cfg.delta > 0.0 && cfg.delta < 1.0,
-            "delta {} outside (0, 1)",
-            cfg.delta
-        );
-        assert!(
             cfg.checkpoint.snapshot_interval >= 1,
             "snapshot interval must be >= 1"
         );
@@ -1044,8 +1037,8 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     }
 
     /// Applies the batch to every live shard, one retry ladder each,
-    /// striped by the ensemble's one striping routine (the one behind
-    /// [`BoostedQuery::apply_batch`]), and returns `(shard index, outcome)`
+    /// striped by [`dgs_pool::stripe`] exactly as
+    /// [`BoostedQuery::apply_batch`] stripes, and returns `(shard index, outcome)`
     /// for every live shard. A shard whose ladder panics is `Failed` and
     /// never retried, since its cells may be torn; its stripe-mates are
     /// unaffected, at every thread count. The supervisor itself never
@@ -1057,10 +1050,10 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
             .enumerate()
             .filter(|(_, s)| s.health.is_live())
             .collect();
-        apply_striped(
+        dgs_pool::stripe(
             &mut live,
             self.cfg.threads,
-            &self.sink,
+            Some(&self.sink),
             |(i, shard)| (*i, apply_with_retry(shard, batch)),
             |(i, _)| {
                 let error = SketchError::failure("supervise", "flush worker panicked");
@@ -1321,14 +1314,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
             .filter(|(_, s)| s.health.is_live())
             .map(|(i, s)| (i, s.sketch.as_ref()))
             .collect();
-        let outcome = query_ensemble(
-            &live,
-            self.shards.len(),
-            self.cfg.delta,
-            budget,
-            policy,
-            decode,
-        );
+        let outcome = query_ensemble(&live, self.shards.len(), DELTA, budget, policy, decode);
         match &outcome.answer {
             SupervisedAnswer::Full { .. } => self.metrics.answers_full.inc(),
             SupervisedAnswer::Degraded { .. } => self.metrics.answers_degraded.inc(),
@@ -1393,7 +1379,6 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
                 .map(|(i, s)| (i, Arc::clone(&s.sketch)))
                 .collect(),
             total: self.shards.len(),
-            delta: self.cfg.delta,
         })
     }
 
@@ -2082,6 +2067,49 @@ mod tests {
                 kind: IncidentKind::Outvoted
             }]
         );
+    }
+
+    #[test]
+    fn freeze_with_recovery_restores_a_quarantined_shard_into_the_view() {
+        let wal = tmpdir("recover-view-wal");
+        let snap = tmpdir("recover-view-snap");
+        let stream = workload(17, 200);
+        let mut sup = SupervisedIngestor::create(
+            &wal,
+            &snap,
+            N,
+            2,
+            SupervisorConfig {
+                rebuild_after_flushes: u64::MAX, // keep the live shard down
+                ..cfg(17)
+            },
+            forest,
+        )
+        .unwrap();
+        let registry = dgs_obs::Registry::new();
+        sup.set_sink(&registry.sink());
+        for u in &stream.updates[..100] {
+            sup.push(u).unwrap();
+        }
+        sup.inject_apply_fault(1, SketchError::failure("chaos", "poisoned"), u32::MAX);
+        for u in &stream.updates[100..150] {
+            sup.push(u).unwrap();
+        }
+        assert_eq!(sup.shard_states()[1], ShardState::Quarantined);
+        let view = sup.freeze_with_recovery().unwrap();
+        assert_eq!(view.epoch(), 150);
+        let mut at_epoch = stream.clone();
+        at_epoch.updates.truncate(view.epoch() as usize);
+        let reference = reference_shards(&at_epoch, 3);
+        let got: Vec<(usize, Vec<u8>)> = view.shards().map(|(i, s)| (i, encoded(s))).collect();
+        assert_eq!(got, reference.into_iter().enumerate().collect::<Vec<_>>());
+        assert_eq!(sup.shard_states()[1], ShardState::Quarantined);
+        assert_eq!(
+            registry.counter_value("dgs_core_supervise_freeze_recovered_shards"),
+            Some(1)
+        );
+        std::fs::remove_dir_all(&wal).unwrap();
+        std::fs::remove_dir_all(&snap).unwrap();
     }
 
     #[test]

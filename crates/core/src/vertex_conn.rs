@@ -197,57 +197,42 @@ impl VertexConnSketch {
     /// (retryable against an independent repetition) instead.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_certificate(&self) -> SketchResult<VertexConnCertificate> {
-        let mut h = Hypergraph::new(self.space.n());
-        let mut scratch = dgs_connectivity::DecodeScratch::new();
-        for sk in &self.subgraphs {
-            let (forest, _) = sk.try_decode_with_scratch(false, 1, &mut scratch)?;
-            for e in forest {
-                h.add_edge(e);
-            }
-        }
-        Ok(VertexConnCertificate { union: h })
+        self.try_certificate_par(1)
     }
 
     /// [`try_certificate`](Self::try_certificate) with the `R` independent
-    /// subgraph decodes fanned out over `threads` scoped worker threads
+    /// subgraph decodes striped over `threads` by [`dgs_pool::stripe`]
     /// (contiguous chunks of subgraph indices, one reusable
-    /// [`dgs_connectivity::DecodeScratch`] per worker). Decodes are
-    /// read-only and per-subgraph independent, and errors are surfaced in
-    /// ascending subgraph order after the fan-out completes — so the
-    /// certificate (and any error) is identical to the sequential path for
-    /// every thread count.
+    /// [`dgs_connectivity::DecodeScratch`] per chunk). Decodes are
+    /// read-only and per-subgraph independent, each chunk stops at its
+    /// first error, and chunks are scanned in order afterwards — so the
+    /// certificate, and the first error in subgraph order, are identical
+    /// for every thread count. A chunk that panics yields a retryable
+    /// [`SketchError::SketchFailure`].
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_certificate_par(&self, threads: usize) -> SketchResult<VertexConnCertificate> {
-        let threads = threads.max(1).min(self.subgraphs.len().max(1));
-        if threads <= 1 {
-            return self.try_certificate();
-        }
-        let chunk = self.subgraphs.len().div_ceil(threads);
-        let results: Vec<SketchResult<Vec<HyperEdge>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .subgraphs
-                .chunks(chunk)
-                .map(|piece| {
-                    scope.spawn(move || {
-                        let mut scratch = dgs_connectivity::DecodeScratch::new();
-                        piece
-                            .iter()
-                            .map(|sk| {
-                                sk.try_decode_with_scratch(false, 1, &mut scratch)
-                                    .map(|(forest, _)| forest)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("certificate decode worker panicked"))
-                .collect()
-        });
+        let chunk = self.subgraphs.len().div_ceil(threads.max(1)).max(1);
+        let mut chunks: Vec<_> = self
+            .subgraphs
+            .chunks(chunk)
+            .map(|piece| (piece, dgs_connectivity::DecodeScratch::new()))
+            .collect();
+        let forests = dgs_pool::stripe(
+            &mut chunks,
+            threads,
+            None,
+            |(piece, scratch)| {
+                let mut edges = Vec::new();
+                for sk in piece.iter() {
+                    edges.extend(sk.try_decode_with_scratch(false, 1, scratch)?.0);
+                }
+                Ok(edges)
+            },
+            |_| Err(SketchError::failure("certificate", "chunk panicked")),
+        );
         let mut h = Hypergraph::new(self.space.n());
-        for r in results {
-            for e in r? {
+        for edges in forests {
+            for e in edges? {
                 h.add_edge(e);
             }
         }
@@ -703,9 +688,60 @@ mod tests {
         let g = planted_separator(5, 5, 2);
         let sk = sketch_for(&g, 2, 3.0, 11);
         let seq = sk.try_certificate().unwrap();
+        // The one-thread certificate is the union of the subgraph forests,
+        // each decoded on its own.
+        let mut union = Hypergraph::new(g.n());
+        for sub in &sk.subgraphs {
+            for e in sub.try_decode().unwrap() {
+                union.add_edge(e);
+            }
+        }
+        assert_eq!(seq.union.edges(), union.edges());
         for threads in [2usize, 4, 7] {
             let par = sk.try_certificate_par(threads).unwrap();
             assert_eq!(seq.union.edges(), par.union.edges(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn certificate_reports_the_first_failing_subgraph_at_every_thread_count() {
+        let n = 24;
+        let space = EdgeSpace::graph(n).unwrap();
+        let cfg = VertexConnConfig::query(2, n, 1.0, Profile::Practical);
+        let seeds = SeedTree::new(7);
+        let mut sk = VertexConnSketch::new(space.clone(), cfg, &seeds);
+        // Plant, in two subgraphs of an edgeless stream, an edge to a vertex
+        // the subgraph does not hold: each decode samples its own planted
+        // edge and fails naming it.
+        for (i, pick) in [(3usize, 0usize), (9, 1)] {
+            let present = sk.subgraphs[i].vertices().to_vec();
+            let v = present[pick];
+            let x = (0..n as VertexId)
+                .find(|x| present.binary_search(x).is_err())
+                .unwrap();
+            let mut msg = dgs_connectivity::PlayerMessage::new_induced(
+                &space,
+                present.len(),
+                v,
+                &seeds.child2(1, i as u64),
+                cfg.forest,
+            );
+            msg.apply(&space, &HyperEdge::pair(v, x), 1);
+            sk.subgraphs[i]
+                .try_set_vertex_samplers(v, msg.samplers)
+                .unwrap();
+        }
+        let errors: Vec<String> = sk
+            .subgraphs
+            .iter()
+            .filter_map(|sub| sub.try_decode().err())
+            .map(|e| e.to_string())
+            .collect();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert_ne!(errors[0], errors[1]);
+        for threads in [1usize, 2, 4, 7] {
+            let got = sk.try_certificate_par(threads).unwrap_err().to_string();
+            assert_eq!(got, errors[0], "{threads} threads");
         }
     }
 

@@ -44,8 +44,9 @@ impl MetricsSink {
     }
 
     /// True when both sinks dispense handles into the same registry (or both
-    /// are null). Lets idempotent wiring like `StickyPool::set_sink` skip
-    /// re-resolving handles when re-attached to the sink it already has.
+    /// are null). Lets idempotent wiring like `dgs_pool::stripe`'s metrics
+    /// skip re-resolving handles when re-attached to the sink it already
+    /// has.
     pub fn same_registry(&self, other: &MetricsSink) -> bool {
         match (&self.inner, &other.inner) {
             (None, None) => true,

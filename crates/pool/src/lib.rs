@@ -1,10 +1,16 @@
-//! Persistent sticky-shard worker pool.
+//! One striping primitive for every parallel section of the workspace.
 //!
-//! The parallel paths in this workspace stripe *independent* state —
-//! boosted repetitions in `dgs-core`'s batch apply and supervised flush,
-//! component slots of a forest sketch's decode in `dgs-connectivity`. The
-//! first generation of that code spawned a fresh `std::thread::scope` per
-//! batch, which has two costs that eat the parallel win on real streams:
+//! [`stripe`] runs a closure on every item of a slice, cut into contiguous
+//! runs across a persistent sticky worker pool, and returns the results in
+//! item order. Its callers stripe *independent* linear pieces — boosted
+//! repetitions in `dgs-core`'s batch apply and supervised flush, component
+//! slots of a forest sketch's decode, the later layers of a k-skeleton
+//! that each recovered forest is peeled from, and the vertex-sampled
+//! subgraphs of a vertex-connectivity certificate — so the striping cannot
+//! change a bit.
+//!
+//! The pool exists because spawning fresh scoped threads per call has two
+//! costs that eat the parallel win on real streams:
 //!
 //! 1. **Spawn latency** — a batch is a few hundred microseconds of apply
 //!    work; creating and joining OS threads costs a meaningful fraction of
@@ -13,26 +19,22 @@
 //!    the scheduler picks, so the sketch rows a stripe touched last batch
 //!    are cold again this batch.
 //!
-//! [`StickyPool`] fixes both: workers are spawned **once** and live for the
-//! pool's lifetime, jobs are routed to an explicit worker index (shard `i`
-//! always goes to worker `i % threads`, so a worker re-touches the same
-//! sketch rows batch after batch and keeps them hot in its core's cache),
-//! and each worker is fed through an in-tree single-producer/single-consumer
-//! ring mailbox — no external channel crate, no shared run queue to contend
-//! on.
-//!
-//! Borrowed jobs are supported through [`StickyPool::scope`], which acts as
-//! a drain/join **barrier**: it does not return until every job submitted
-//! inside it has completed, so jobs may capture `&mut` references into the
-//! caller's stack exactly like `std::thread::scope` — that is what lets the
-//! ingest paths keep their batch == sequential byte-identity contract while
-//! reusing long-lived workers.
+//! Workers are spawned **once** per calling thread and cached for its
+//! lifetime; run `t` always goes to worker `t`, so a worker re-touches the
+//! same state call after call and keeps it hot in its core's cache. Each
+//! worker is fed through an in-tree single-producer/single-consumer ring
+//! mailbox — no external channel crate, no shared run queue to contend on.
+//! A scope's drain barrier does not return until every job submitted in it
+//! has completed, so jobs may borrow `&mut` state from the caller's stack
+//! exactly like the standard library's scoped threads.
 //!
 //! Determinism: the pool adds none of its own. A job runs exactly the
-//! closure it was handed, on a dedicated worker; which OS core runs a worker
-//! affects timing only. All result bytes are produced by the jobs
-//! themselves, and the ingest callers partition their state so that every
-//! cell is owned by exactly one job per barrier.
+//! closure it was handed; which OS core runs a worker affects timing only,
+//! and every item is owned by exactly one job per call.
+//!
+//! Panics: a panic in one item's closure is caught and becomes that item's
+//! `panicked(item)` result, at every thread count; its stripe-mates still
+//! run, and the caller never unwinds.
 
 // The pool sits under every supervised ingest path: it must degrade through
 // typed errors or clean panics it explicitly chooses, never an incidental
@@ -256,13 +258,9 @@ struct Worker {
 }
 
 /// A persistent pool of worker threads with per-worker SPSC mailboxes and
-/// explicit, sticky job routing.
-///
-/// Create it once (per ingestor, per supervisor, or thread-local via
-/// [`with_local_pool`]) and reuse it across batches: the whole point is
-/// that worker `t` services shard `t` on every flush, so the shard's cache
-/// footprint stays resident on whatever core runs worker `t`.
-pub struct StickyPool {
+/// explicit, sticky job routing, cached per calling thread by
+/// [`with_local_pool`].
+struct StickyPool {
     workers: Vec<Worker>,
     /// Serializes scopes: at most one producer feeds the mailboxes at a
     /// time, which is what makes them legitimately single-producer.
@@ -272,20 +270,12 @@ pub struct StickyPool {
     last_sink: Mutex<MetricsSink>,
 }
 
-impl std::fmt::Debug for StickyPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StickyPool")
-            .field("threads", &self.workers.len())
-            .finish()
-    }
-}
-
 impl StickyPool {
     /// Spawns `threads` persistent workers.
     ///
     /// # Panics
     /// Panics if `threads == 0` or the OS refuses to spawn a thread.
-    pub fn new(threads: usize) -> StickyPool {
+    fn new(threads: usize) -> StickyPool {
         assert!(threads >= 1, "pool needs at least one worker");
         let workers = (0..threads)
             .map(|i| {
@@ -319,7 +309,7 @@ impl StickyPool {
     }
 
     /// Number of persistent workers.
-    pub fn threads(&self) -> usize {
+    fn threads(&self) -> usize {
         self.workers.len()
     }
 
@@ -330,10 +320,9 @@ impl StickyPool {
     /// (one deep mailbox, one saturated worker) visible in `obs-report`.
     ///
     /// Idempotent: re-attaching a sink backed by the same registry is a
-    /// no-op, so callers that thread a sink through every flush (the
-    /// ingestors' `with_local_pool` call sites) pay one registry-identity
-    /// check per batch after the first.
-    pub fn set_sink(&self, sink: &MetricsSink) {
+    /// no-op, so a caller that threads its sink through every [`stripe`]
+    /// pays one registry-identity check per call after the first.
+    fn set_sink(&self, sink: &MetricsSink) {
         let mut last = lock_unpoisoned(&self.last_sink);
         if last.same_registry(sink) {
             return;
@@ -362,8 +351,8 @@ impl StickyPool {
     ///
     /// # Panics
     /// Panics after the drain if any job panicked (mirroring the join
-    /// behaviour of `std::thread::scope`).
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
+    /// behaviour of the standard library's scoped threads).
+    fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'_, 'env>) -> R) -> R {
         let _producer = lock_unpoisoned(&self.producer);
         let scope = PoolScope {
             pool: self,
@@ -410,7 +399,7 @@ impl Drop for StickyPool {
 ///
 /// `'env` is the lifetime of borrows a job may capture; the scope barrier
 /// keeps them alive until every job finished.
-pub struct PoolScope<'pool, 'env> {
+struct PoolScope<'pool, 'env> {
     pool: &'pool StickyPool,
     state: Arc<ScopeState>,
     /// Invariant over `'env`, like `std::thread::Scope`.
@@ -426,7 +415,7 @@ impl<'env> PoolScope<'_, 'env> {
     ///
     /// A panic inside `f` is caught, recorded, and re-raised by
     /// [`StickyPool::scope`] after the barrier.
-    pub fn spawn<F>(&self, worker: usize, f: F)
+    fn spawn<F>(&self, worker: usize, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
@@ -472,18 +461,17 @@ thread_local! {
 /// workers, creating or growing it on first use and caching it for the
 /// thread's lifetime.
 ///
-/// This is the entry point for code that stripes *within* one call (the
-/// boosted batch apply and the forest sketch's parallel decode): the
-/// caller has no natural place to own a pool, but per-call spawning is
-/// exactly what the pool exists to avoid. Keying the cache by thread keeps
-/// the single-producer mailbox discipline free (a thread only ever feeds
-/// its own pool) and makes nested parallelism safe: a pool *worker* that
-/// stripes again simply gets its own, separate thread-local pool.
+/// [`stripe`]'s callers have no natural place to own a pool, but per-call
+/// spawning is exactly what the pool exists to avoid. Keying the cache by
+/// thread keeps the single-producer mailbox discipline free (a thread only
+/// ever feeds its own pool) and makes nested parallelism safe: a pool
+/// *worker* that stripes again simply gets its own, separate thread-local
+/// pool.
 ///
 /// The pool is taken out of the cache while `f` runs, so re-entrant calls
 /// on the same thread build an independent temporary pool instead of
 /// deadlocking on a shared one.
-pub fn with_local_pool<R>(threads: usize, f: impl FnOnce(&StickyPool) -> R) -> R {
+fn with_local_pool<R>(threads: usize, f: impl FnOnce(&StickyPool) -> R) -> R {
     let need = threads.max(1);
     let cached = LOCAL_POOL.with(|cell| {
         let mut slot = cell.borrow_mut();
@@ -508,6 +496,65 @@ pub fn with_local_pool<R>(threads: usize, f: impl FnOnce(&StickyPool) -> R) -> R
         }
     });
     result
+}
+
+/// Runs `apply` on every item, striped across the calling thread's sticky
+/// pool, and returns the results in item order.
+///
+/// The items are cut into `stripes = min(threads, items.len())` contiguous
+/// runs (the first `items.len() % stripes` one item longer), and run `t`
+/// always goes to pool worker `t`: while the item count holds, an item
+/// stays on one worker call after call. A single stripe runs inline on the
+/// caller; at two or more, every run goes to a worker while the caller
+/// waits. A panic in `apply` is caught per item on either path and that
+/// item's result is `panicked(item)`: its stripe-mates still run, and the
+/// pool's own panic flag never trips. `sink`, when given, is attached to
+/// the pool's per-worker metrics.
+pub fn stripe<T: Send, R: Send>(
+    items: &mut [T],
+    threads: usize,
+    sink: Option<&MetricsSink>,
+    apply: impl Fn(&mut T) -> R + Sync,
+    panicked: impl Fn(&T) -> R,
+) -> Vec<R> {
+    let n = items.len();
+    let stripes = threads.min(n);
+    if stripes <= 1 {
+        return items
+            .iter_mut()
+            .map(|item| {
+                catch_unwind(AssertUnwindSafe(|| apply(&mut *item)))
+                    .unwrap_or_else(|_| panicked(item))
+            })
+            .collect();
+    }
+    let mut done: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let (mut rest, mut slots) = (&mut *items, &mut done[..]);
+    let apply = &apply;
+    with_local_pool(stripes, |pool| {
+        if let Some(sink) = sink {
+            pool.set_sink(sink);
+        }
+        pool.scope(|scope| {
+            for t in 0..stripes {
+                let len = n / stripes + usize::from(t < n % stripes);
+                let (stripe, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                let (out, tail) = std::mem::take(&mut slots).split_at_mut(len);
+                slots = tail;
+                scope.spawn(t, move || {
+                    for (item, slot) in stripe.iter_mut().zip(out) {
+                        *slot = catch_unwind(AssertUnwindSafe(|| apply(item))).ok();
+                    }
+                });
+            }
+        });
+    });
+    items
+        .iter()
+        .zip(done)
+        .map(|(item, r)| r.unwrap_or_else(|| panicked(item)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -755,6 +802,52 @@ mod tests {
             .histogram_stats("dgs_pool_worker_busy_ns{worker=\"0\"}")
             .unwrap();
         assert_eq!(stats.count, 1);
+    }
+
+    #[test]
+    fn stripe_runs_contiguous_runs_on_their_workers_and_contains_panics() {
+        let caller = std::thread::current().name().map(str::to_owned);
+        for threads in [1usize, 2, 3] {
+            let reg = dgs_obs::Registry::new();
+            let mut items: Vec<u32> = (0..7).collect();
+            let got = stripe(
+                &mut items,
+                threads,
+                Some(&reg.sink()),
+                |x| {
+                    assert!(*x != 3, "item 3 blew up");
+                    *x += 10;
+                    Ok(std::thread::current().name().map(str::to_owned))
+                },
+                |&x| Err(x),
+            );
+            // Run `t` holds 7 / threads items (the first 7 % threads runs
+            // one more) and runs on worker `t`; one stripe runs inline.
+            let mut want = Vec::new();
+            for t in 0..threads {
+                let len = 7 / threads + usize::from(t < 7 % threads);
+                let name = match threads {
+                    1 => caller.clone(),
+                    _ => Some(format!("dgs-pool-{t}")),
+                };
+                want.extend(std::iter::repeat_n(Ok(name), len));
+            }
+            want[3] = Err(3);
+            assert_eq!(got, want, "threads {threads}");
+            // The panicking item is untouched and its stripe-mates applied.
+            assert_eq!(items, [10, 11, 12, 3, 14, 15, 16], "threads {threads}");
+            // One busy sample per worker run; the inline stripe has none.
+            let busy: u64 = (0..threads)
+                .map(|w| {
+                    reg.histogram_stats(&format!("dgs_pool_worker_busy_ns{{worker=\"{w}\"}}"))
+                        .map_or(0, |s| s.count)
+                })
+                .sum();
+            assert_eq!(busy, if threads == 1 { 0 } else { threads as u64 });
+            // The next call on the same thread works.
+            let again = stripe(&mut items, threads, None, |x| *x + 1, |_| 0);
+            assert_eq!(again, [11, 12, 13, 4, 15, 16, 17], "threads {threads}");
+        }
     }
 
     #[test]
