@@ -20,7 +20,7 @@ use dgs_core::{VertexConnConfig, VertexConnSketch};
 use dgs_field::SeedTree;
 use dgs_hypergraph::algo::component_labels;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, VertexId};
-use dgs_sketch::Profile;
+use dgs_sketch::{Profile, SketchResult};
 
 /// Result of one protocol run.
 #[derive(Clone, Copy, Debug)]
@@ -34,14 +34,16 @@ pub struct IndexingOutcome {
 }
 
 /// One run of the Theorem 5 protocol with uniformly random `x` and query
-/// index. `r_multiplier` scales the sketch's subgraph count `R`.
-pub fn indexing_protocol_trial<R: Rng>(
+/// index. `r_multiplier` scales the sketch's subgraph count `R`. Bob's
+/// certificate decode can fail with probability δ; that is a retryable
+/// [`dgs_sketch::SketchError::SketchFailure`], not a wrong bit.
+pub fn try_indexing_protocol_trial<R: Rng>(
     k: usize,
     n: usize,
     r_multiplier: f64,
     seeds: &SeedTree,
     rng: &mut R,
-) -> IndexingOutcome {
+) -> SketchResult<IndexingOutcome> {
     assert!(k >= 1 && n >= 2);
     let left = k + 1;
     let total = left + n;
@@ -62,7 +64,7 @@ pub fn indexing_protocol_trial<R: Rng>(
     for (i, row) in x.iter().enumerate() {
         for (j, &bit) in row.iter().enumerate() {
             if bit {
-                sketch.update(&HyperEdge::pair(l(i), r(j)), 1);
+                sketch.try_update(&HyperEdge::pair(l(i), r(j)), 1)?;
             }
         }
     }
@@ -72,13 +74,13 @@ pub fn indexing_protocol_trial<R: Rng>(
     for a in 0..n {
         for b in (a + 1)..n {
             if a != qj && b != qj {
-                sketch.update(&HyperEdge::pair(r(a), r(b)), 1);
+                sketch.try_update(&HyperEdge::pair(r(a), r(b)), 1)?;
             }
         }
     }
 
     // Bob's query: after removing S = L \ {l_i}, is r_j non-isolated?
-    let cert = sketch.certificate();
+    let cert = sketch.try_certificate()?;
     let expansion = cert.union.clique_expansion();
     let mut keep = vec![true; total];
     for (i, kept) in keep.iter_mut().enumerate().take(left) {
@@ -91,11 +93,11 @@ pub fn indexing_protocol_trial<R: Rng>(
     let rj = r(qj) as usize;
     let connected = (0..total).any(|v| v != rj && keep[v] && labels[v] == labels[rj]);
 
-    IndexingOutcome {
+    Ok(IndexingOutcome {
         correct: connected == x[qi][qj],
         message_bytes,
         naive_bytes: (left * n).div_ceil(8),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -109,7 +111,9 @@ mod tests {
         let mut correct = 0;
         let trials = 20;
         for t in 0..trials {
-            let out = indexing_protocol_trial(2, 8, 4.0, &SeedTree::new(3000).child(t), &mut rng);
+            let out =
+                try_indexing_protocol_trial(2, 8, 4.0, &SeedTree::new(3000).child(t), &mut rng)
+                    .unwrap();
             if out.correct {
                 correct += 1;
             }
@@ -123,7 +127,7 @@ mod tests {
         // is (much) bigger than kn bits. The lower bound says it can never
         // go below kn bits; the experiments sweep n to show the gap shrink.
         let mut rng = StdRng::seed_from_u64(100);
-        let out = indexing_protocol_trial(2, 8, 4.0, &SeedTree::new(3001), &mut rng);
+        let out = try_indexing_protocol_trial(2, 8, 4.0, &SeedTree::new(3001), &mut rng).unwrap();
         assert!(out.message_bytes > out.naive_bytes);
         assert!(out.naive_bytes == 3);
     }

@@ -34,7 +34,7 @@ pub mod store_all;
 pub use becker::BeckerSketch;
 pub use bk_sparsifier::benczur_karger_sparsifier;
 pub use eppstein::EppsteinCertificate;
-pub use indexing::{indexing_protocol_trial, IndexingOutcome};
+pub use indexing::{try_indexing_protocol_trial, IndexingOutcome};
 pub use kogan_krauthgamer::kogan_krauthgamer_sparsifier;
 pub use offline_light::offline_light_sparsifier;
 pub use sfst::{scan_first_search_tree, sfst_indexing_trial};

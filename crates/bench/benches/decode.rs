@@ -39,7 +39,8 @@ fn bench_forest_decode() {
         sk.set_sink(&registry.sink());
         let g = gnm(n, 4 * n, &mut StdRng::seed_from_u64(11));
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1)
+                .expect("stream edges lie in the sketch's space");
         }
         bench(&format!("forest_decode_reference/{n}"), |b| {
             b.iter(|| sk.try_decode_reference(false).unwrap())
@@ -62,9 +63,12 @@ fn bench_skeleton_decode() {
     let mut sk = KSkeletonSketch::new(space, 3, &SeedTree::new(12), lean());
     let g = gnm(n, 5 * n, &mut StdRng::seed_from_u64(13));
     for (u, v) in g.edges() {
-        sk.update(&HyperEdge::pair(u, v), 1);
+        sk.try_update(&HyperEdge::pair(u, v), 1)
+            .expect("stream edges lie in the sketch's space");
     }
-    bench("skeleton/decode_n24_k3", |b| b.iter(|| sk.decode()));
+    bench("skeleton/decode_n24_k3", |b| {
+        b.iter(|| sk.try_decode().expect("skeleton decode certifies"))
+    });
     bench("skeleton/decode_n24_k3_par2", |b| {
         b.iter(|| sk.try_decode_par(2).unwrap())
     });
@@ -75,9 +79,12 @@ fn bench_light_recover() {
     let space = EdgeSpace::graph(g.n()).unwrap();
     let mut sk = LightRecoverySketch::new(space, 2, &SeedTree::new(14), lean());
     for (u, v) in g.edges() {
-        sk.update(&HyperEdge::pair(u, v), 1);
+        sk.try_update(&HyperEdge::pair(u, v), 1)
+            .expect("stream edges lie in the sketch's space");
     }
-    bench("light_recovery/grid5x5_k2", |b| b.iter(|| sk.recover()));
+    bench("light_recovery/grid5x5_k2", |b| {
+        b.iter(|| sk.try_recover().expect("light_k peel certifies"))
+    });
 }
 
 fn bench_sparsifier_decode() {
@@ -87,9 +94,12 @@ fn bench_sparsifier_decode() {
     let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(15));
     let g = gnm(n, 5 * n, &mut StdRng::seed_from_u64(16));
     for (u, v) in g.edges() {
-        sp.update(&HyperEdge::pair(u, v), 1);
+        sp.try_update(&HyperEdge::pair(u, v), 1)
+            .expect("stream edges lie in the sketch's space");
     }
-    bench("sparsifier/decode_n24_k3", |b| b.iter(|| sp.decode()));
+    bench("sparsifier/decode_n24_k3", |b| {
+        b.iter(|| sp.try_decode().expect("sparsifier decode certifies"))
+    });
 }
 
 fn bench_edge_conn_decode() {
@@ -99,10 +109,14 @@ fn bench_edge_conn_decode() {
     let mut sk = EdgeConnSketch::new(space, 4, &SeedTree::new(17), lean());
     let g = gnm(n, 5 * n, &mut StdRng::seed_from_u64(18));
     for (u, v) in g.edges() {
-        sk.update(&HyperEdge::pair(u, v), 1);
+        sk.try_update(&HyperEdge::pair(u, v), 1)
+            .expect("stream edges lie in the sketch's space");
     }
     bench("edge_conn/decode_n24_k4", |b| {
-        b.iter(|| sk.edge_connectivity())
+        b.iter(|| {
+            sk.try_edge_connectivity()
+                .expect("skeleton decode certifies")
+        })
     });
 }
 

@@ -59,7 +59,8 @@ fn bench_forest_update() {
         let mut i = 0;
         bench(&format!("forest_sketch_update/{n}"), |b| {
             b.iter(|| {
-                sk.update(&edges[i % edges.len()], 1);
+                sk.try_update(&edges[i % edges.len()], 1)
+                    .expect("stream edges lie in the sketch's space");
                 i += 1;
             })
         });
@@ -77,7 +78,8 @@ fn bench_vc_update() {
     let mut i = 0;
     bench("vertex_conn_update_n128_k3", |b| {
         b.iter(|| {
-            sk.update(&edges[i % edges.len()], 1);
+            sk.try_update(&edges[i % edges.len()], 1)
+                .expect("stream edges lie in the sketch's space");
             i += 1;
         })
     });
@@ -92,7 +94,8 @@ fn bench_light_update() {
     let mut i = 0;
     bench("light_recovery_update_n64_k2", |b| {
         b.iter(|| {
-            sk.update(&edges[i % edges.len()], 1);
+            sk.try_update(&edges[i % edges.len()], 1)
+                .expect("stream edges lie in the sketch's space");
             i += 1;
         })
     });
@@ -108,7 +111,8 @@ fn bench_sparsifier_update() {
     let mut i = 0;
     bench("sparsifier_update_n48_k3", |b| {
         b.iter(|| {
-            sp.update(&edges[i % edges.len()], 1);
+            sp.try_update(&edges[i % edges.len()], 1)
+                .expect("stream edges lie in the sketch's space");
             i += 1;
         })
     });

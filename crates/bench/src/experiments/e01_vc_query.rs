@@ -70,10 +70,11 @@ pub fn run(quick: bool) {
                 let seeds = SeedTree::new(0xE1).child2(mult.to_bits(), trial as u64);
                 let mut sk = VertexConnSketch::new(space, cfg, &seeds);
                 for u in &stream.updates {
-                    sk.update(&u.edge, u.op.delta());
+                    sk.try_update(&u.edge, u.op.delta())
+                        .expect("stream edges lie in the sketch's space");
                 }
                 bytes = sk.size_bytes();
-                let cert = sk.certificate();
+                let cert = sk.try_certificate().expect("certificate decode certifies");
                 if cert.disconnects(&separator) {
                     sep_hits += 1;
                 }

@@ -5,7 +5,7 @@
 //! guarantee; message size is compared against the kn-bit information
 //! floor that the indexing bound enforces.
 
-use dgs_baselines::indexing_protocol_trial;
+use dgs_baselines::try_indexing_protocol_trial;
 use dgs_field::prng::*;
 use dgs_field::SeedTree;
 
@@ -30,13 +30,14 @@ pub fn run(quick: bool) {
         let mut message = 0;
         let mut floor = 0;
         for t in 0..trials {
-            let out = indexing_protocol_trial(
+            let out = try_indexing_protocol_trial(
                 k,
                 n,
                 4.0,
                 &SeedTree::new(0xE2).child2(k as u64, t as u64),
                 &mut rng,
-            );
+            )
+            .expect("indexing trial decodes");
             if out.correct {
                 correct += 1;
             }

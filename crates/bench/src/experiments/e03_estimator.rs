@@ -33,10 +33,16 @@ fn decoded_kappa(
     cfg.forest = lean_forest();
     let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(0xE3).child(seed));
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        sk.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
     let bytes = sk.size_bytes();
-    (sk.certificate().vertex_connectivity(2 * k + 3), bytes)
+    (
+        sk.try_certificate()
+            .expect("certificate decode certifies")
+            .vertex_connectivity(2 * k + 3),
+        bytes,
+    )
 }
 
 pub fn run(quick: bool) {

@@ -21,9 +21,12 @@ fn run_case(h: &Hypergraph, seeds: &SeedTree, rng: &mut StdRng) -> (bool, bool, 
     let mut sk = SpanningForestSketch::new_full(space, seeds, params);
     let stream = default_stream(h, rng);
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        sk.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
-    let (_, labels) = sk.decode_with_labels();
+    let (_, labels) = sk
+        .try_decode_with_labels()
+        .expect("forest decode certifies");
     let comp_sketch = labels.component_count();
     let comp_true = hyper_component_count(h);
     (

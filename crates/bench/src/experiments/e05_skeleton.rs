@@ -68,10 +68,12 @@ pub fn run(quick: bool) {
                 );
                 let stream = default_stream(&h, &mut rng);
                 for u in &stream.updates {
-                    sk.update(&u.edge, u.op.delta());
+                    sk.try_update(&u.edge, u.op.delta())
+                        .expect("stream edges lie in the sketch's space");
                 }
                 bytes = sk.size_bytes();
-                let skeleton = Hypergraph::from_edges(n, sk.decode());
+                let skeleton =
+                    Hypergraph::from_edges(n, sk.try_decode().expect("skeleton decode certifies"));
                 total_viol += violations(&h, &skeleton, k);
                 skel_edges.push(skeleton.edge_count() as f64);
             }

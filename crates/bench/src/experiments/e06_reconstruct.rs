@@ -126,10 +126,11 @@ pub fn run(quick: bool) {
             );
             let stream = default_stream(&h, &mut rng);
             for u in &stream.updates {
-                sk.update(&u.edge, u.op.delta());
+                sk.try_update(&u.edge, u.op.delta())
+                    .expect("stream edges lie in the sketch's space");
             }
             msg = sk.max_player_message_bytes();
-            let rec = sk.recover();
+            let rec = sk.try_recover().expect("light_k peel certifies");
             let (exact_idx, _) = light_k_exact(&h, k);
             let exact: BTreeSet<HyperEdge> =
                 exact_idx.iter().map(|&i| h.edges()[i].clone()).collect();

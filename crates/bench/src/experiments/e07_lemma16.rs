@@ -40,9 +40,15 @@ pub fn run(quick: bool) {
                 lean_forest(),
             );
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1)
+                    .expect("stream edges lie in the sketch's space");
             }
-            let recovered: BTreeSet<HyperEdge> = sk.recover().edges().into_iter().collect();
+            let recovered: BTreeSet<HyperEdge> = sk
+                .try_recover()
+                .expect("light_k peel certifies")
+                .edges()
+                .into_iter()
+                .collect();
             let strengths = edge_strengths(&g);
             let mut all_match = true;
             for (u, v) in g.edges() {
@@ -88,9 +94,15 @@ pub fn run(quick: bool) {
                 lean_forest(),
             );
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1)
+                    .expect("stream edges lie in the sketch's space");
             }
-            let recovered: BTreeSet<HyperEdge> = sk.recover().edges().into_iter().collect();
+            let recovered: BTreeSet<HyperEdge> = sk
+                .try_recover()
+                .expect("light_k peel certifies")
+                .edges()
+                .into_iter()
+                .collect();
             let strengths = hyper_edge_strengths(&h);
             let mut all_match = true;
             for (i, e) in h.edges().iter().enumerate() {

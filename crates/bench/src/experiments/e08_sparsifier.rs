@@ -159,10 +159,11 @@ fn part_a(quick: bool) {
                 );
                 let stream = default_stream(&h, &mut rng);
                 for u in &stream.updates {
-                    sp.update(&u.edge, u.op.delta());
+                    sp.try_update(&u.edge, u.op.delta())
+                        .expect("stream edges lie in the sketch's space");
                 }
                 bytes = sp.size_bytes();
-                let res = sp.decode();
+                let res = sp.try_decode().expect("sparsifier decode certifies");
                 sketch_errs.push(max_cut_error_exhaustive(&h, &res.sparsifier));
                 sizes.push(res.sparsifier.edge_count() as f64);
                 let off = offline_light_sparsifier(&h, k, 8, &mut rng);

@@ -53,11 +53,12 @@ pub fn run(quick: bool) {
         );
         let start = Instant::now();
         for u in &stream.updates {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta())
+                .expect("stream edges lie in the sketch's space");
         }
         let ns_per_edge = start.elapsed().as_nanos() as f64 / stream.len() as f64;
         let start = Instant::now();
-        let _ = sk.decode();
+        let _ = sk.try_decode().expect("forest decode certifies");
         let decode_ms = start.elapsed().as_secs_f64() * 1e3;
 
         let mut cfg = VertexConnConfig::query(2, n, 1.0, dgs_sketch::Profile::Practical);

@@ -6,15 +6,16 @@
 //!    per round because a component whose sampler fails once would
 //!    otherwise re-fail *identically* every round — its aggregate state
 //!    never changes until it merges. With independent rounds a failure is
-//!    retried with fresh randomness. We measure component-count accuracy
-//!    with deliberately tiny samplers, where per-round failures are common.
+//!    retried with fresh randomness. We decode with deliberately tiny
+//!    samplers, where per-round failures are common, and score every
+//!    decode as correct, a typed (retryable) failure, or silently wrong.
 //!
 //! 2. **Layer reuse** (secondary): the k-skeleton peeling
 //!    `F_i = decode(A - Σ A(F_j))` with a single shared sketch `A` — the
 //!    exact fallacy Section 4.2 belabors. At laptop scale the sketch holds
 //!    far more bits than the peeled edges, so footnote 3's counting
 //!    obstruction does not yet bite; the table reports what is actually
-//!    measured either way.
+//!    measured either way, with the same three-way scoring.
 
 use dgs_connectivity::{ForestParams, KSkeletonSketch, SpanningForestSketch};
 use dgs_field::prng::*;
@@ -22,7 +23,7 @@ use dgs_field::SeedTree;
 use dgs_hypergraph::algo::{component_count, hyper_component_count};
 use dgs_hypergraph::generators::gnp;
 use dgs_hypergraph::{EdgeSpace, Graph, HyperEdge, Hypergraph};
-use dgs_sketch::L0Params;
+use dgs_sketch::{L0Params, SketchResult};
 
 use crate::report::{fmt_rate, Table};
 use crate::stats::fmt_mean_std;
@@ -43,13 +44,19 @@ fn round_reuse_table(quick: bool) {
     let n = 32;
 
     let mut table = Table::new(
-        "E11a (Sec 4.2): Borůvka round reuse — component count accuracy, tiny samplers (s=2, 1 row)",
-        &["mode", "extra rounds", "component count correct"],
+        "E11a (Sec 4.2): Borůvka round reuse — component count, tiny samplers (s=2, 1 row)",
+        &[
+            "mode",
+            "extra rounds",
+            "correct",
+            "typed failure",
+            "silent wrong",
+        ],
     );
 
     for &extra in &[2usize, 4] {
         for mode in ["independent rounds", "shared rounds"] {
-            let mut ok = 0;
+            let (mut ok, mut failed, mut wrong) = (0, 0, 0);
             for t in 0..trials {
                 let mut rng = StdRng::seed_from_u64(0xEB_A000 + (extra * 1000 + t) as u64);
                 let g = gnp(n, 0.12, &mut rng);
@@ -62,51 +69,56 @@ fn round_reuse_table(quick: bool) {
                     SpanningForestSketch::new_full_shared_rounds(space, &seeds, tiny_params(extra))
                 };
                 for e in h.edges() {
-                    sk.update(e, 1);
+                    sk.try_update(e, 1)
+                        .expect("stream edges lie in the sketch's space");
                 }
-                let (_, labels) = sk.decode_with_labels();
-                if labels.component_count() == hyper_component_count(&h) {
-                    ok += 1;
+                match sk.try_component_count() {
+                    Ok(c) if c == hyper_component_count(&h) => ok += 1,
+                    Ok(_) => wrong += 1,
+                    Err(e) if e.is_retryable() => failed += 1,
+                    Err(e) => panic!("valid stream rejected: {e}"),
                 }
             }
-            table.row(vec![mode.into(), extra.to_string(), fmt_rate(ok, trials)]);
+            table.row(vec![
+                mode.into(),
+                extra.to_string(),
+                fmt_rate(ok, trials),
+                format!("{failed}/{trials}"),
+                format!("{wrong}/{trials}"),
+            ]);
         }
     }
     table.note("independent rounds retry failures with fresh randomness; shared rounds re-fail identically");
     table.note(
-        "extra rounds help ONLY the independent mode — the signature of the union-bound argument",
+        "the certified decoder reports a stuck component as a retryable SketchFailure, never a wrong count",
     );
     table.print();
 }
 
-/// Peels spanning forests until the first invalid layer; returns the count
-/// of valid layers.
-fn valid_layers(sketch: &KSkeletonSketch, n: usize) -> usize {
+/// Decodes the skeleton and scores its layers against the exact peel of
+/// `K_n`: `(valid, sound)`, where `valid` counts the leading layers that
+/// are spanning trees of what remains, and `sound` says every layer is a
+/// spanning forest of the graph left after the layers before it.
+fn score_layers(sketch: &KSkeletonSketch, n: usize) -> SketchResult<(usize, bool)> {
     let mut remaining = Graph::complete(n);
-    let layers = sketch.decode_layers();
     let mut valid = 0;
-    for layer in layers {
-        let mut ok = layer.len() == n - 1;
-        for e in &layer {
-            let (u, v) = e.as_pair();
-            if !remaining.has_edge(u, v) {
-                ok = false;
-            }
+    let mut prefix = true;
+    for layer in sketch.try_decode_layers()? {
+        let pairs: Vec<_> = layer.iter().map(|e| e.as_pair()).collect();
+        let forest = Graph::from_edges(n, &pairs);
+        let inside = pairs.iter().all(|&(u, v)| remaining.has_edge(u, v));
+        if !inside || component_count(&forest) != component_count(&remaining) {
+            return Ok((valid, false));
         }
-        if ok {
-            let f = Graph::from_edges(n, &layer.iter().map(|e| e.as_pair()).collect::<Vec<_>>());
-            ok = component_count(&f) == 1;
+        prefix &= pairs.len() == n - 1 && component_count(&forest) == 1;
+        if prefix {
+            valid += 1;
         }
-        if !ok {
-            break;
-        }
-        for e in &layer {
-            let (u, v) = e.as_pair();
+        for &(u, v) in &pairs {
             remaining.remove_edge(u, v);
         }
-        valid += 1;
     }
-    valid
+    Ok((valid, true))
 }
 
 fn layer_reuse_table(quick: bool) {
@@ -116,12 +128,18 @@ fn layer_reuse_table(quick: bool) {
 
     let mut table = Table::new(
         format!("E11b: {layers}-layer forest peeling from K_{n} — layer (seed) reuse"),
-        &["mode", "valid layers (of max)", "full peels"],
+        &[
+            "mode",
+            "valid layers (of max)",
+            "full peels",
+            "typed failure",
+            "silent wrong",
+        ],
     );
 
     for mode in ["independent layers", "reused seed"] {
         let mut counts = Vec::new();
-        let mut full = 0;
+        let (mut full, mut failed, mut wrong) = (0, 0, 0);
         for t in 0..trials {
             let space = EdgeSpace::graph(n).unwrap();
             let seeds = SeedTree::new(0xEB).child2(t as u64, 100 + (mode == "reused seed") as u64);
@@ -140,20 +158,28 @@ fn layer_reuse_table(quick: bool) {
             };
             let g = Graph::complete(n);
             for (u, v) in g.edges() {
-                sk.update(&HyperEdge::pair(u, v), 1);
+                sk.try_update(&HyperEdge::pair(u, v), 1)
+                    .expect("stream edges lie in the sketch's space");
             }
-            let v = valid_layers(&sk, n);
-            if v == layers {
-                full += 1;
+            match score_layers(&sk, n) {
+                Ok((v, sound)) => {
+                    full += usize::from(v == layers);
+                    wrong += usize::from(!sound);
+                    counts.push(v as f64);
+                }
+                Err(e) if e.is_retryable() => failed += 1,
+                Err(e) => panic!("valid stream rejected: {e}"),
             }
-            counts.push(v as f64);
         }
         table.row(vec![
             mode.into(),
             format!("{} / {layers}", fmt_mean_std(&counts)),
             format!("{full}/{trials}"),
+            format!("{failed}/{trials}"),
+            format!("{wrong}/{trials}"),
         ]);
     }
+    table.note("valid layers: the leading layers that are spanning trees of what K_n has left");
     table.note("at this scale the sketch has slack bits, so layer reuse may not yet fail (footnote 3 is asymptotic)");
     table.print();
 }

@@ -96,9 +96,15 @@ pub fn run(quick: bool) {
             cfg.forest = lean_forest();
             let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(0xEC).child(t as u64));
             for u in &stream.updates {
-                sk.update(&u.edge, u.op.delta());
+                sk.try_update(&u.edge, u.op.delta())
+                    .expect("stream edges lie in the sketch's space");
             }
-            if sk.certificate().vertex_connectivity(k) == truth {
+            if sk
+                .try_certificate()
+                .expect("certificate decode certifies")
+                .vertex_connectivity(k)
+                == truth
+            {
                 sketch_ok += 1;
             }
             let _ = h;

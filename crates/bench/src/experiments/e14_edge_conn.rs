@@ -78,10 +78,13 @@ pub fn run(quick: bool) {
             );
             let stream = default_stream(&h, &mut rng);
             for u in &stream.updates {
-                sk.update(&u.edge, u.op.delta());
+                sk.try_update(&u.edge, u.op.delta())
+                    .expect("stream edges lie in the sketch's space");
             }
             bytes = sk.size_bytes();
-            let (est, side) = sk.edge_connectivity();
+            let (est, side) = sk
+                .try_edge_connectivity()
+                .expect("skeleton decode certifies");
             if est == truth.min(k) {
                 est_ok += 1;
             }

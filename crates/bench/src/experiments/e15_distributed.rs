@@ -57,22 +57,29 @@ pub fn run(quick: bool) {
         let mut forest_msg = 0;
         let mut referee = SpanningForestSketch::new_full(space.clone(), &seeds.child(0), params);
         for v in 0..n as u32 {
-            let msg = dgs_connectivity::player_sketch(
+            let msg = dgs_connectivity::try_player_sketch(
                 &space,
                 v,
                 &incident(&h, v),
                 &seeds.child(0),
                 params,
-            );
+            )
+            .expect("player edges are incident to the player");
             forest_msg = forest_msg.max(msg.size_bytes());
-            referee.set_vertex_samplers(v, msg.samplers);
+            referee
+                .try_set_vertex_samplers(v, msg.samplers)
+                .expect("player messages match the sketch");
         }
-        let referee_ok =
-            referee.decode_with_labels().1.component_count() == hyper_component_count(&h);
+        let referee_ok = referee
+            .try_decode_with_labels()
+            .expect("forest decode certifies")
+            .1
+            .component_count()
+            == hyper_component_count(&h);
 
         // Skeleton / light-recovery messages (one player is representative —
         // vertex-based structures are balanced).
-        let skel_msg: usize = KSkeletonSketch::player_message(
+        let skel_msg: usize = KSkeletonSketch::try_player_message(
             &space,
             2,
             0,
@@ -80,10 +87,11 @@ pub fn run(quick: bool) {
             &seeds.child(1),
             params,
         )
+        .expect("player edges are incident to the player")
         .iter()
         .map(|m| m.size_bytes())
         .sum();
-        let light_msg: usize = LightRecoverySketch::player_message(
+        let light_msg: usize = LightRecoverySketch::try_player_message(
             &space,
             2,
             0,
@@ -91,6 +99,7 @@ pub fn run(quick: bool) {
             &seeds.child(2),
             params,
         )
+        .expect("player edges are incident to the player")
         .iter()
         .map(|m| m.size_bytes())
         .sum();
@@ -98,19 +107,26 @@ pub fn run(quick: bool) {
         // Vertex-connectivity message (expected R/k subgraphs contain v).
         let mut cfg = VertexConnConfig::query(2, n, 1.0, dgs_sketch::Profile::Practical);
         cfg.forest = params;
-        let vc_msg =
-            VertexConnSketch::player_message(&space, &cfg, &seeds.child(3), 0, &incident(&h, 0))
-                .size_bytes();
+        let vc_msg = VertexConnSketch::try_player_message(
+            &space,
+            &cfg,
+            &seeds.child(3),
+            0,
+            &incident(&h, 0),
+        )
+        .expect("player edges are incident to the player")
+        .size_bytes();
 
         // Sparsifier message.
         let sp_cfg = SparsifierConfig::explicit(2, 6, params);
-        let sp_msg = HypergraphSparsifier::player_message(
+        let sp_msg = HypergraphSparsifier::try_player_message(
             &space,
             &sp_cfg,
             &seeds.child(4),
             0,
             &incident(&h, 0),
         )
+        .expect("player edges are incident to the player")
         .size_bytes();
 
         // Full sparsifier protocol across a lossy channel: every player's
@@ -119,25 +135,35 @@ pub fn run(quick: bool) {
         // sketch must still decode identically to the central one.
         let mut central = HypergraphSparsifier::new(space.clone(), sp_cfg, &seeds.child(4));
         for e in h.edges() {
-            central.update(e, 1);
+            central
+                .try_update(e, 1)
+                .expect("stream edges lie in the sketch's space");
         }
         let mut referee_sp = HypergraphSparsifier::new(space.clone(), sp_cfg, &seeds.child(4));
         let mut channel = LossyChannel::new(0xE15_0000 + n as u64, 0.10, 0.05);
         for v in 0..n as u32 {
-            let msg = HypergraphSparsifier::player_message(
+            let msg = HypergraphSparsifier::try_player_message(
                 &space,
                 &sp_cfg,
                 &seeds.child(4),
                 v,
                 &incident(&h, v),
-            );
+            )
+            .expect("player edges are incident to the player");
             let (delivered, _) = channel
                 .transmit_with_retry(&msg, 64)
                 .expect("lossy channel exhausted its retransmission budget");
-            referee_sp.install_player(delivered);
+            referee_sp
+                .try_install_player(delivered)
+                .expect("player messages match the sketch");
         }
         let channel_ok = {
-            let (a, b) = (central.decode(), referee_sp.decode());
+            let (a, b) = (
+                central.try_decode().expect("sparsifier decode certifies"),
+                referee_sp
+                    .try_decode()
+                    .expect("sparsifier decode certifies"),
+            );
             a.per_level == b.per_level
                 && a.sparsifier.iter().collect::<Vec<_>>()
                     == b.sparsifier.iter().collect::<Vec<_>>()

@@ -25,7 +25,7 @@
 
 use dgs_connectivity::SpanningForestSketch;
 use dgs_core::{
-    BoostedQuery, CheckpointConfig, QueryOutcome, RecoveryDriver, SupervisedIngestor,
+    BoostedQuery, CheckpointConfig, RecoveryDriver, SupervisedAnswer, SupervisedIngestor,
     SupervisorConfig,
 };
 use dgs_field::prng::*;
@@ -163,12 +163,12 @@ fn boosted_rate(params: L0Params, reps: usize, trials: u64, seed: u64) -> (u64, 
         let mut boosted = BoostedQuery::from_repetitions(samplers);
         boosted.set_sink(&registry.sink());
         match boosted.query(|s| s.sample()) {
-            QueryOutcome::Answer { value, .. } => {
+            SupervisedAnswer::Full { value, .. } => {
                 let (_, w) = value.expect("nonzero vector certified zero");
                 assert_eq!(w, 1, "sampled a cancelled index");
             }
-            QueryOutcome::Unknown { .. } => {}
-            QueryOutcome::Invalid(e) => panic!("clean adversarial vector flagged invalid: {e}"),
+            SupervisedAnswer::Unknown { .. } => {}
+            other => panic!("clean adversarial vector resolved to {other:?}"),
         }
     }
     let answers = registry

@@ -58,7 +58,7 @@ pub struct Measurement {
 const MIN_PAR4_SPEEDUP: f64 = 1.5;
 
 /// The acceptance verdicts: every row exact against its sequential
-/// baseline, the engine at least [`MIN_PAR4_SPEEDUP`]x the reference at 4
+/// baseline, the engine at least `MIN_PAR4_SPEEDUP`x the reference at 4
 /// threads, and decode throughput within
 /// [`crate::baseline::MAX_REGRESSION`]x of the checked-in baseline.
 pub fn verdicts(m: &Measurement) -> Verdicts {
@@ -209,7 +209,8 @@ pub fn measure(quick: bool) -> Measurement {
         let mut sk = KSkeletonSketch::new(space, k, &SeedTree::new(seed + k as u64), lean_forest());
         let g = gnm(skel_n, 5 * skel_n, &mut StdRng::seed_from_u64(seed + 7));
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1)
+                .expect("stream edges lie in the sketch's space");
         }
         let seq_layers = sk.try_decode_layers_par(1).expect("skeleton decode");
         let skel_threads = [1usize, 2, 4];
@@ -254,7 +255,8 @@ pub fn measure(quick: bool) -> Measurement {
     let mut vc = VertexConnSketch::new(space, cfg, &SeedTree::new(seed + 40));
     let g = gnm(vc_n, 5 * vc_n, &mut StdRng::seed_from_u64(seed + 9));
     for (u, v) in g.edges() {
-        vc.update(&HyperEdge::pair(u, v), 1);
+        vc.try_update(&HyperEdge::pair(u, v), 1)
+            .expect("stream edges lie in the sketch's space");
     }
     let seq_cert = vc.try_certificate().expect("vc certificate");
     let vc_threads = [1usize, 2, 4];

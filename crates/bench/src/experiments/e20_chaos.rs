@@ -46,7 +46,9 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use dgs_connectivity::SpanningForestSketch;
-use dgs_core::{CheckpointConfig, QueryBudget, Recoverable, SupervisedIngestor, SupervisorConfig};
+use dgs_core::{
+    CheckpointConfig, QueryBudget, QueryPolicy, Recoverable, SupervisedIngestor, SupervisorConfig,
+};
 use dgs_field::{Codec, Writer};
 use dgs_hypergraph::{ChaosCampaign, ChaosFault, ChaosScheduler};
 use dgs_obs::Registry;
@@ -271,14 +273,18 @@ pub fn measure(quick: bool) -> Measurement {
         pushed += 1;
         if (pos + 1).is_multiple_of(QUERY_EVERY) {
             let answer = sup
-                .query_majority(&budget, |shard, s: &SpanningForestSketch| {
-                    let left = stalls.borrow().get(&shard).copied().unwrap_or(0);
-                    if left > 0 {
-                        stalls.borrow_mut().insert(shard, left - 1);
-                        std::thread::sleep(Duration::from_millis(4));
-                    }
-                    s.try_component_count()
-                })
+                .query(
+                    &budget,
+                    QueryPolicy::Majority,
+                    |shard, s: &SpanningForestSketch| {
+                        let left = stalls.borrow().get(&shard).copied().unwrap_or(0);
+                        if left > 0 {
+                            stalls.borrow_mut().insert(shard, left - 1);
+                            std::thread::sleep(Duration::from_millis(4));
+                        }
+                        s.try_component_count()
+                    },
+                )
                 .expect("query");
             answers.push((pos as u64 + 1, answer));
         }

@@ -111,7 +111,7 @@ pub fn bench(name: &str, f: impl FnOnce(&mut Bencher)) {
     bench_stats(name, f);
 }
 
-/// Like [`bench`], but also returns the batch-level timing stats so a
+/// Like [`bench()`], but also returns the batch-level timing stats so a
 /// caller can relate two runs — e.g. assert that a lane kernel is no
 /// slower than its scalar oracle on the p50. Quantiles inherit the
 /// histogram's log-bucket resolution (~25% relative), so comparisons

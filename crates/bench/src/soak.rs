@@ -249,7 +249,7 @@ mod tests {
 
     use super::*;
     use crate::baseline::{guard, passing_baseline};
-    use dgs_core::QueryBudget;
+    use dgs_core::{QueryBudget, QueryPolicy};
 
     #[test]
     fn even_cycles_leave_every_multiplicity_at_zero() {
@@ -345,11 +345,15 @@ mod tests {
             if pos % 8 == 7 {
                 queries.set(queries.get() + 1);
                 let answer = sup
-                    .query(&QueryBudget::default(), |_, s: &SpanningForestSketch| {
-                        // The third query's decode is off by one.
-                        let off = usize::from(queries.get() == 3);
-                        s.try_component_count().map(|c| c + off)
-                    })
+                    .query(
+                        &QueryBudget::default(),
+                        QueryPolicy::FirstSuccess,
+                        |_, s: &SpanningForestSketch| {
+                            // The third query's decode is off by one.
+                            let off = usize::from(queries.get() == 3);
+                            s.try_component_count().map(|c| c + off)
+                        },
+                    )
                     .unwrap();
                 answers.push((pos as u64 + 1, answer));
             }

@@ -21,6 +21,7 @@
 
 use dgs_field::SeedTree;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, VertexId};
+use dgs_sketch::{SketchError, SketchResult};
 
 use crate::forest::{ForestParams, SpanningForestSketch};
 
@@ -44,15 +45,25 @@ impl BipartitenessSketch {
         }
     }
 
-    /// Applies a signed edge update (`{u, v}` with `u != v`).
-    pub fn update(&mut self, u: VertexId, v: VertexId, delta: i64) {
-        assert!((u as usize) < self.n && (v as usize) < self.n);
-        self.base.update(&HyperEdge::pair(u, v), delta);
+    /// Applies a signed edge update `{u, v}`. A self-loop or an endpoint
+    /// outside the `n` vertices is [`SketchError::InvalidInput`], rejected
+    /// before either sketch is touched.
+    pub fn try_update(&mut self, u: VertexId, v: VertexId, delta: i64) -> SketchResult<()> {
+        if u == v {
+            return Err(SketchError::invalid(format!("self-loop at vertex {u}")));
+        }
+        if let Some(x) = [u, v].into_iter().find(|&x| x as usize >= self.n) {
+            return Err(SketchError::invalid(format!(
+                "vertex {x} out of range for a {}-vertex graph",
+                self.n
+            )));
+        }
+        self.base.try_update(&HyperEdge::pair(u, v), delta)?;
         // Double cover: (x, layer) -> 2x + layer.
         let (u0, u1) = (2 * u, 2 * u + 1);
         let (v0, v1) = (2 * v, 2 * v + 1);
-        self.cover.update(&HyperEdge::pair(u0, v1), delta);
-        self.cover.update(&HyperEdge::pair(u1, v0), delta);
+        self.cover.try_update(&HyperEdge::pair(u0, v1), delta)?;
+        self.cover.try_update(&HyperEdge::pair(u1, v0), delta)
     }
 
     /// Decodes both sketches: `(components(G), components(D(G)))`.
@@ -60,21 +71,24 @@ impl BipartitenessSketch {
     /// Isolated-vertex convention: both counts include isolated vertices
     /// (each contributing 1 and 2 respectively), which cancels in the
     /// bipartiteness test.
-    pub fn component_counts(&self) -> (usize, usize) {
-        (self.base.component_count(), self.cover.component_count())
+    pub fn try_component_counts(&self) -> SketchResult<(usize, usize)> {
+        Ok((
+            self.base.try_component_count()?,
+            self.cover.try_component_count()?,
+        ))
     }
 
     /// True (whp) iff every component of the sketched graph is bipartite.
-    pub fn is_bipartite(&self) -> bool {
-        let (c, cc) = self.component_counts();
-        cc == 2 * c
+    pub fn try_is_bipartite(&self) -> SketchResult<bool> {
+        let (c, cc) = self.try_component_counts()?;
+        Ok(cc == 2 * c)
     }
 
     /// Number of components containing an odd cycle (whp):
     /// `2·components(G) - components(D(G))`.
-    pub fn odd_components(&self) -> usize {
-        let (c, cc) = self.component_counts();
-        (2 * c).saturating_sub(cc)
+    pub fn try_odd_components(&self) -> SketchResult<usize> {
+        let (c, cc) = self.try_component_counts()?;
+        Ok((2 * c).saturating_sub(cc))
     }
 
     /// Sketch size in bytes.
@@ -122,7 +136,7 @@ mod tests {
         );
         let mut sk = BipartitenessSketch::new(g.n(), &SeedTree::new(0xB1).child(label), params);
         for (u, v) in g.edges() {
-            sk.update(u, v, 1);
+            sk.try_update(u, v, 1).unwrap();
         }
         sk
     }
@@ -130,19 +144,21 @@ mod tests {
     #[test]
     fn trees_and_grids_are_bipartite() {
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(sketch_for(&random_tree(15, &mut rng), 0).is_bipartite());
-        assert!(sketch_for(&grid(4, 4), 1).is_bipartite());
+        assert!(sketch_for(&random_tree(15, &mut rng), 0)
+            .try_is_bipartite()
+            .unwrap());
+        assert!(sketch_for(&grid(4, 4), 1).try_is_bipartite().unwrap());
     }
 
     #[test]
     fn odd_cycle_detected() {
         let tri = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0)]);
         let sk = sketch_for(&tri, 2);
-        assert!(!sk.is_bipartite());
-        assert_eq!(sk.odd_components(), 1);
+        assert!(!sk.try_is_bipartite().unwrap());
+        assert_eq!(sk.try_odd_components().unwrap(), 1);
 
         let even_cycle = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!(sketch_for(&even_cycle, 3).is_bipartite());
+        assert!(sketch_for(&even_cycle, 3).try_is_bipartite().unwrap());
     }
 
     #[test]
@@ -158,12 +174,12 @@ mod tests {
             ),
         );
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)] {
-            sk.update(u, v, 1);
+            sk.try_update(u, v, 1).unwrap();
         }
-        sk.update(0, 2, 1); // odd chord
-        assert!(!sk.is_bipartite());
-        sk.update(0, 2, -1);
-        assert!(sk.is_bipartite());
+        sk.try_update(0, 2, 1).unwrap(); // odd chord
+        assert!(!sk.try_is_bipartite().unwrap());
+        sk.try_update(0, 2, -1).unwrap();
+        assert!(sk.try_is_bipartite().unwrap());
     }
 
     #[test]
@@ -178,7 +194,7 @@ mod tests {
             };
             let sk = sketch_for(&g, 100 + trial);
             assert_eq!(
-                sk.is_bipartite(),
+                sk.try_is_bipartite().unwrap(),
                 exact_bipartite(&g),
                 "trial {trial}: {:?}",
                 g.edges().collect::<Vec<_>>()
@@ -197,7 +213,20 @@ mod tests {
             g.add_edge(u, v);
         }
         let sk = sketch_for(&g, 200);
-        assert_eq!(sk.odd_components(), 2);
-        assert!(!sk.is_bipartite());
+        assert_eq!(sk.try_odd_components().unwrap(), 2);
+        assert!(!sk.try_is_bipartite().unwrap());
+    }
+
+    #[test]
+    fn bad_edges_are_invalid_input() {
+        let params =
+            ForestParams::new(Profile::Practical, EdgeSpace::graph(8).unwrap().dimension());
+        let mut sk = BipartitenessSketch::new(4, &SeedTree::new(0xB1).child(5), params);
+        for (u, v) in [(1, 1), (0, 4)] {
+            let err = sk.try_update(u, v, 1).unwrap_err();
+            assert!(!err.is_retryable(), "{err}");
+        }
+        // Nothing was applied: the sketch still reads four isolated vertices.
+        assert_eq!(sk.try_component_counts().unwrap(), (4, 8));
     }
 }

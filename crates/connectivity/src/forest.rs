@@ -304,7 +304,7 @@ impl SpanningForestSketch {
         self.rounds
     }
 
-    /// Fallible signed update for hyperedge `e` (+1 insert, -1 delete).
+    /// Signed update for hyperedge `e` (+1 insert, -1 delete).
     ///
     /// Validates the edge against the space (rank bound, vertex range) and
     /// the present vertex set *before* touching any sampler cell, so a
@@ -451,27 +451,6 @@ impl SpanningForestSketch {
         (keys, by_row)
     }
 
-    /// Applies a signed update for hyperedge `e` (+1 insert, -1 delete).
-    ///
-    /// # Panics
-    /// Panics if the edge is invalid for this sketch (absent endpoint,
-    /// out-of-range vertex, rank violation) — callers filter edges for
-    /// induced subgraphs. Use [`try_update`](Self::try_update) to handle
-    /// untrusted streams without panicking.
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_update(e, delta) {
-            panic!("{err}");
-        }
-    }
-
-    /// Applies a batch of known edges with a common sign — the peeling
-    /// primitive `B(G) - Σ_j B(F_j)` of Sections 4.1–4.2.
-    pub fn apply_edges<'a>(&mut self, edges: impl IntoIterator<Item = &'a HyperEdge>, delta: i64) {
-        for e in edges {
-            self.update(e, delta);
-        }
-    }
-
     fn check_compatible(&self, rhs: &SpanningForestSketch) -> SketchResult<()> {
         if self.vertices != rhs.vertices || self.rounds != rhs.rounds {
             return Err(SketchError::invalid(format!(
@@ -485,8 +464,9 @@ impl SpanningForestSketch {
         Ok(())
     }
 
-    /// Fallible cell-wise sum; [`SketchError::InvalidInput`] on a shape or
-    /// seed mismatch (e.g. sketches restored from divergent checkpoints).
+    /// Cell-wise sum with a same-seeded, same-shape sketch;
+    /// [`SketchError::InvalidInput`] on a shape or seed mismatch (e.g.
+    /// sketches restored from divergent checkpoints).
     pub fn try_add_assign_sketch(&mut self, rhs: &SpanningForestSketch) -> SketchResult<()> {
         self.check_compatible(rhs)?;
         for (a, b) in self.samplers.iter_mut().zip(&rhs.samplers) {
@@ -495,7 +475,7 @@ impl SpanningForestSketch {
         Ok(())
     }
 
-    /// Fallible cell-wise difference; see
+    /// Cell-wise difference; see
     /// [`try_add_assign_sketch`](Self::try_add_assign_sketch).
     pub fn try_sub_assign_sketch(&mut self, rhs: &SpanningForestSketch) -> SketchResult<()> {
         self.check_compatible(rhs)?;
@@ -505,57 +485,18 @@ impl SpanningForestSketch {
         Ok(())
     }
 
-    /// Cell-wise sum with a same-seeded, same-shape sketch.
-    ///
-    /// # Panics
-    /// Panics on shape/seed mismatch; in-process shard merges always agree.
-    pub fn add_assign_sketch(&mut self, rhs: &SpanningForestSketch) {
-        if let Err(err) = self.try_add_assign_sketch(rhs) {
-            panic!("{err}");
-        }
-    }
-
-    /// Cell-wise difference with a same-seeded, same-shape sketch.
-    ///
-    /// # Panics
-    /// Panics on shape/seed mismatch; in-process shard merges always agree.
-    pub fn sub_assign_sketch(&mut self, rhs: &SpanningForestSketch) {
-        if let Err(err) = self.try_sub_assign_sketch(rhs) {
-            panic!("{err}");
-        }
-    }
-
     /// Decodes a spanning graph of the sketched subgraph: Borůvka over the
     /// per-round component samplers. Returns the kept edges; with high
     /// probability they connect exactly the components of the sketched
-    /// subgraph.
-    ///
-    /// # Panics
-    /// Panics if the decode cannot be certified — use
-    /// [`try_decode`](Self::try_decode) for a typed, retryable error.
-    pub fn decode(&self) -> Vec<HyperEdge> {
-        self.decode_with_labels().0
-    }
-
-    /// Fallible [`decode`](Self::decode).
+    /// subgraph, and otherwise the decode is a typed error (see
+    /// [`try_decode_with_labels`](Self::try_decode_with_labels)).
     pub fn try_decode(&self) -> SketchResult<Vec<HyperEdge>> {
         Ok(self.try_decode_with_labels()?.0)
     }
 
-    /// [`decode`](Self::decode) plus the final component label of every
-    /// present vertex (labels are indices into `vertices()`).
-    ///
-    /// # Panics
-    /// Panics if [`try_decode_with_labels`](Self::try_decode_with_labels)
-    /// fails; with `Profile::Practical` parameters this is a ≪ 1% event.
-    pub fn decode_with_labels(&self) -> (Vec<HyperEdge>, UnionFind) {
-        match self.try_decode_with_labels() {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible Borůvka decode with explicit completeness certification.
+    /// [`try_decode`](Self::try_decode) plus the final component label of
+    /// every present vertex (labels are indices into `vertices()`), with
+    /// explicit completeness certification.
     ///
     /// Per round, every component's samplers are summed and sampled once.
     /// Mid-round sampler failures are tolerated — later rounds are fresh,
@@ -933,32 +874,14 @@ impl SpanningForestSketch {
         Ok((out.clone(), uf))
     }
 
-    /// Fallible component count of the sketched subgraph.
+    /// Number of connected components of the sketched subgraph (whp).
     pub fn try_component_count(&self) -> SketchResult<usize> {
         Ok(self.try_decode_with_labels()?.1.component_count())
     }
 
-    /// Number of connected components of the sketched subgraph (whp).
-    ///
-    /// # Panics
-    /// Panics if the decode cannot be certified; see
-    /// [`try_component_count`](Self::try_component_count).
-    pub fn component_count(&self) -> usize {
-        self.decode_with_labels().1.component_count()
-    }
-
-    /// Fallible connectivity verdict.
+    /// True iff the sketched subgraph is connected (whp).
     pub fn try_is_connected(&self) -> SketchResult<bool> {
         Ok(self.try_component_count()? <= 1)
-    }
-
-    /// True iff the sketched subgraph is connected (whp).
-    ///
-    /// # Panics
-    /// Panics if the decode cannot be certified; see
-    /// [`try_is_connected`](Self::try_is_connected).
-    pub fn is_connected(&self) -> bool {
-        self.component_count() <= 1
     }
 
     /// Total memory footprint in bytes.
@@ -994,7 +917,7 @@ impl SpanningForestSketch {
             .collect()
     }
 
-    /// Fallible referee assembly step: overwrites one vertex's samplers
+    /// The referee's assembly step: overwrites one vertex's samplers
     /// after validating the vertex is present, the round count matches, and
     /// every incoming sampler is seed/shape-compatible with the slot it
     /// replaces. Player messages arrive from *outside* the process, so a
@@ -1026,17 +949,6 @@ impl SpanningForestSketch {
             self.samplers[r * nv + local] = s;
         }
         Ok(())
-    }
-
-    /// Overwrites the samplers of one vertex (the referee's assembly step).
-    ///
-    /// # Panics
-    /// Panics on an absent vertex or mismatched message shape; see
-    /// [`try_set_vertex_samplers`](Self::try_set_vertex_samplers).
-    pub fn set_vertex_samplers(&mut self, v: VertexId, samplers: Vec<L0Sampler>) {
-        if let Err(err) = self.try_set_vertex_samplers(v, samplers) {
-            panic!("{err}");
-        }
     }
 }
 
@@ -1122,7 +1034,7 @@ mod tests {
 
     fn load_graph(sk: &mut SpanningForestSketch, g: &Graph) {
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
         }
     }
 
@@ -1140,10 +1052,10 @@ mod tests {
         let mut sk = graph_sketch(8, 0);
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]);
         load_graph(&mut sk, &g);
-        let forest = sk.decode();
+        let forest = sk.try_decode().unwrap();
         // The path is its own unique spanning tree.
         assert_eq!(forest.len(), 7);
-        assert!(sk.is_connected());
+        assert!(sk.try_is_connected().unwrap());
     }
 
     #[test]
@@ -1158,7 +1070,7 @@ mod tests {
             let mut sk =
                 SpanningForestSketch::new_full(space, &SeedTree::new(500).child(trial), params);
             load_graph(&mut sk, &g);
-            let (forest, labels) = sk.decode_with_labels();
+            let (forest, labels) = sk.try_decode_with_labels().unwrap();
             assert_eq!(
                 labels.component_count(),
                 component_count(&g),
@@ -1169,7 +1081,11 @@ mod tests {
                 let (u, v) = e.as_pair();
                 assert!(g.has_edge(u, v), "trial {trial}: phantom edge {e:?}");
             }
-            assert_eq!(sk.is_connected(), is_connected(&g), "trial {trial}");
+            assert_eq!(
+                sk.try_is_connected().unwrap(),
+                is_connected(&g),
+                "trial {trial}"
+            );
         }
     }
 
@@ -1184,10 +1100,10 @@ mod tests {
         // Delete everything except a spanning star at 0.
         for (u, v) in dense.edges() {
             if u != 0 {
-                sk.update(&HyperEdge::pair(u, v), -1);
+                sk.try_update(&HyperEdge::pair(u, v), -1).unwrap();
             }
         }
-        let forest = sk.decode();
+        let forest = sk.try_decode().unwrap();
         assert_eq!(forest.len(), n - 1);
         for e in &forest {
             assert_eq!(e.as_pair().0, 0, "decoded non-star edge {e:?}");
@@ -1206,9 +1122,9 @@ mod tests {
             let mut sk =
                 SpanningForestSketch::new_full(space, &SeedTree::new(600).child(trial), params);
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
-            let (kept, labels) = sk.decode_with_labels();
+            let (kept, labels) = sk.try_decode_with_labels().unwrap();
             assert_eq!(
                 labels.component_count(),
                 hyper_component_count(&h),
@@ -1236,9 +1152,9 @@ mod tests {
         let mut sk =
             SpanningForestSketch::new_induced(space, present.clone(), &SeedTree::new(700), params);
         // Edges among present vertices only.
-        sk.update(&HyperEdge::pair(0, 2), 1);
-        sk.update(&HyperEdge::pair(4, 6), 1);
-        let (forest, labels) = sk.decode_with_labels();
+        sk.try_update(&HyperEdge::pair(0, 2), 1).unwrap();
+        sk.try_update(&HyperEdge::pair(4, 6), 1).unwrap();
+        let (forest, labels) = sk.try_decode_with_labels().unwrap();
         assert_eq!(forest.len(), 2);
         assert_eq!(labels.component_count(), 3); // {0,2}, {4,6}, {8}
         assert!(sk.has_vertex(4));
@@ -1246,13 +1162,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "absent vertex")]
-    fn update_with_absent_endpoint_panics() {
+    fn update_with_absent_endpoint_is_invalid_input() {
         let space = EdgeSpace::graph(6).unwrap();
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk =
             SpanningForestSketch::new_induced(space, vec![0, 1, 2], &SeedTree::new(1), params);
-        sk.update(&HyperEdge::pair(0, 5), 1);
+        let err = sk.try_update(&HyperEdge::pair(0, 5), 1).unwrap_err();
+        assert!(
+            matches!(&err, SketchError::InvalidInput { detail } if detail.contains("absent vertex")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1266,11 +1185,13 @@ mod tests {
         let g = Graph::complete(n);
         let mut total = SpanningForestSketch::new_full(space.clone(), &seeds, params);
         load_graph(&mut total, &g);
-        let f1 = total.decode();
+        let f1 = total.try_decode().unwrap();
         assert_eq!(f1.len(), n - 1);
         let mut rest = total.clone();
-        rest.apply_edges(f1.iter(), -1);
-        let f2 = rest.decode();
+        for e in &f1 {
+            rest.try_update(e, -1).unwrap();
+        }
+        let f2 = rest.try_decode().unwrap();
         assert_eq!(f2.len(), n - 1, "K_n minus a tree is still connected");
         for e in &f2 {
             assert!(!f1.contains(e), "edge {e:?} reused after peeling");
@@ -1339,7 +1260,7 @@ mod tests {
     /// Applies `stream` to `sk` as signed updates.
     fn apply_stream(sk: &mut SpanningForestSketch, stream: &[dgs_hypergraph::Update]) {
         for u in stream {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta()).unwrap();
         }
     }
 
@@ -1359,7 +1280,7 @@ mod tests {
             } else {
                 let m = rng.gen_range(2..20);
                 for e in random_uniform_hypergraph(n, 3, m, &mut rng).edges() {
-                    sk.update(e, 1);
+                    sk.try_update(e, 1).unwrap();
                 }
             }
             assert_engine_matches_reference(&sk, &format!("insert-only trial {trial}"));
@@ -1421,10 +1342,11 @@ mod tests {
                 let w = *[1, 2, bound + 1, 3 * bound, 1 << 20]
                     .choose(&mut rng)
                     .unwrap();
-                sk.update(&HyperEdge::pair(u, v), w);
+                sk.try_update(&HyperEdge::pair(u, v), w).unwrap();
                 if rng.gen_bool(0.3) {
                     // Partial cancellation keeps a positive multiplicity.
-                    sk.update(&HyperEdge::pair(u, v), -(w - 1).min(bound));
+                    sk.try_update(&HyperEdge::pair(u, v), -(w - 1).min(bound))
+                        .unwrap();
                 }
             }
             assert_engine_matches_reference(&sk, &format!("weighted trial {trial}"));
@@ -1447,8 +1369,8 @@ mod tests {
             &SeedTree::new(3300),
             params,
         );
-        sk.update(&HyperEdge::pair(0, 1), 1);
-        sk.update(&HyperEdge::pair(2, 3), 1);
+        sk.try_update(&HyperEdge::pair(0, 1), 1).unwrap();
+        sk.try_update(&HyperEdge::pair(2, 3), 1).unwrap();
         let mut rng = StdRng::seed_from_u64(29);
         let mut dense = sk.vertex_samplers(0);
         for s in &mut dense {
@@ -1472,7 +1394,7 @@ mod tests {
         let g = Graph::complete(9);
         load_graph(&mut cancelled, &g);
         for (u, v) in g.edges() {
-            cancelled.update(&HyperEdge::pair(u, v), -1);
+            cancelled.try_update(&HyperEdge::pair(u, v), -1).unwrap();
         }
         assert_engine_matches_reference(&cancelled, "cancelled");
         let (edges, mut labels) = cancelled
@@ -1541,8 +1463,8 @@ mod tests {
                 .collect();
             for (idx, (u, v)) in g.edges().enumerate() {
                 let e = HyperEdge::pair(u, v);
-                full.update(&e, 1);
-                shares[idx % players].update(&e, 1);
+                full.try_update(&e, 1).unwrap();
+                shares[idx % players].try_update(&e, 1).unwrap();
             }
             let mut merged = shares.remove(0);
             for s in &shares {
@@ -1622,8 +1544,8 @@ mod tests {
     #[test]
     fn empty_sketch_decodes_no_edges() {
         let sk = graph_sketch(6, 9);
-        assert!(sk.decode().is_empty());
-        assert_eq!(sk.component_count(), 6);
+        assert!(sk.try_decode().unwrap().is_empty());
+        assert_eq!(sk.try_component_count().unwrap(), 6);
     }
 
     #[test]

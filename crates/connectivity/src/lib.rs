@@ -20,6 +20,6 @@ pub mod vector;
 
 pub use bipartite::BipartitenessSketch;
 pub use forest::{DecodeScratch, ForestParams, SpanningForestSketch};
-pub use player::{assemble_players, assemble_players_strict, player_sketch, PlayerMessage};
+pub use player::{assemble_players_strict, try_assemble_players, try_player_sketch, PlayerMessage};
 pub use skeleton::KSkeletonSketch;
 pub use vector::incidence_coefficient;

@@ -9,11 +9,12 @@
 //!
 //! A player holds only [`PlayerMessage::new`]'s `O(polylog n)`-size state
 //! and processes its incident insert/delete stream with
-//! [`PlayerMessage::apply`]; the referee reassembles the full sketch with
-//! [`assemble_players`]. Tests verify bit-for-bit equality with a centrally
-//! built sketch. Higher structures (k-skeletons, the Theorem 4/8/15/20
-//! structures) expose their own message types composed from this one — see
-//! `KSkeletonSketch::player_message` and the `dgs-core` structures.
+//! [`PlayerMessage::try_apply`]; the referee reassembles the full sketch
+//! with [`try_assemble_players`]. Tests verify bit-for-bit equality with a
+//! centrally built sketch. Higher structures (k-skeletons, the Theorem
+//! 4/8/15/20 structures) expose their own message types composed from this
+//! one — see `KSkeletonSketch::try_player_message` and the `dgs-core`
+//! structures.
 
 use dgs_field::SeedTree;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, VertexId};
@@ -59,7 +60,7 @@ impl PlayerMessage {
         }
     }
 
-    /// Fallible local stream element: a signed update of an edge incident
+    /// One local stream element: a signed update of an edge incident
     /// to this player's vertex, applying only this vertex's incidence
     /// coefficient. Misrouted edges (not incident to the player), rank
     /// violations, and out-of-range vertices surface as
@@ -92,17 +93,6 @@ impl PlayerMessage {
         Ok(())
     }
 
-    /// Processes one local stream element.
-    ///
-    /// # Panics
-    /// Panics if `e` is not incident to the player's vertex; see
-    /// [`try_apply`](Self::try_apply).
-    pub fn apply(&mut self, space: &EdgeSpace, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_apply(space, e, delta) {
-            panic!("{err}");
-        }
-    }
-
     /// Message length in bytes — the quantity the model minimizes.
     pub fn size_bytes(&self) -> usize {
         self.samplers.iter().map(|s| s.size_bytes()).sum()
@@ -130,37 +120,44 @@ impl dgs_field::Codec for PlayerMessage {
 }
 
 /// Builds player `v`'s message from its complete local input (convenience
-/// over [`PlayerMessage::new`] + [`PlayerMessage::apply`]).
-///
-/// # Panics
-/// Panics if some listed edge is not incident to `v`.
-pub fn player_sketch(
+/// over [`PlayerMessage::new`] + [`PlayerMessage::try_apply`]). A vertex
+/// outside the space or an edge not incident to `v` is
+/// [`SketchError::InvalidInput`].
+pub fn try_player_sketch(
     space: &EdgeSpace,
     v: VertexId,
     incident_edges: &[HyperEdge],
     seeds: &SeedTree,
     params: ForestParams,
-) -> PlayerMessage {
+) -> SketchResult<PlayerMessage> {
+    if (v as usize) >= space.n() {
+        return Err(SketchError::invalid(format!(
+            "vertex {v} out of range for a {}-vertex edge space",
+            space.n()
+        )));
+    }
     let mut msg = PlayerMessage::new(space, v, seeds, params);
     for e in incident_edges {
-        msg.apply(space, e, 1);
+        msg.try_apply(space, e, 1)?;
     }
-    msg
+    Ok(msg)
 }
 
 /// The referee: reassembles the full vertex-based sketch from all player
-/// messages. Missing players keep zero samplers (isolated vertices).
-pub fn assemble_players(
+/// messages. Missing players keep zero samplers (isolated vertices); a
+/// message whose vertex or shape does not fit the sketch is
+/// [`SketchError::InvalidInput`].
+pub fn try_assemble_players(
     space: &EdgeSpace,
     messages: Vec<PlayerMessage>,
     seeds: &SeedTree,
     params: ForestParams,
-) -> SpanningForestSketch {
+) -> SketchResult<SpanningForestSketch> {
     let mut sk = SpanningForestSketch::new_full(space.clone(), seeds, params);
     for msg in messages {
-        sk.set_vertex_samplers(msg.vertex, msg.samplers);
+        sk.try_set_vertex_samplers(msg.vertex, msg.samplers)?;
     }
-    sk
+    Ok(sk)
 }
 
 /// Strict referee for untrusted transports: requires **exactly one**
@@ -168,7 +165,7 @@ pub fn assemble_players(
 /// seeding against the slot it fills. A missing player (dropped message), a
 /// duplicate (retransmitted twice), an out-of-range vertex, or a corrupted
 /// sampler state all surface as [`SketchError::InvalidInput`] — the lenient
-/// [`assemble_players`] would silently read a dropped message as an
+/// [`try_assemble_players`] would silently read a dropped message as an
 /// isolated vertex, which is a wrong answer, not a detected fault.
 pub fn assemble_players_strict(
     space: &EdgeSpace,
@@ -227,7 +224,7 @@ mod tests {
         // Central sketch.
         let mut central = SpanningForestSketch::new_full(space.clone(), &seeds, params);
         for e in h.edges() {
-            central.update(e, 1);
+            central.try_update(e, 1).unwrap();
         }
 
         // Each player sees only its incident edges.
@@ -239,15 +236,18 @@ mod tests {
                     .filter(|e| e.contains(v))
                     .cloned()
                     .collect();
-                player_sketch(&space, v, &incident, &seeds, params)
+                try_player_sketch(&space, v, &incident, &seeds, params).unwrap()
             })
             .collect();
-        let assembled = assemble_players(&space, messages, &seeds, params);
+        let assembled = try_assemble_players(&space, messages, &seeds, params).unwrap();
 
         // The referee's decode must match the central decode exactly
         // (identical seeds, identical cell states).
-        assert_eq!(central.decode(), assembled.decode());
-        let (kept, labels) = assembled.decode_with_labels();
+        assert_eq!(
+            central.try_decode().unwrap(),
+            assembled.try_decode().unwrap()
+        );
+        let (kept, labels) = assembled.try_decode_with_labels().unwrap();
         assert_eq!(labels.component_count(), hyper_component_count(&h));
         let sub = Hypergraph::from_edges(n, kept);
         assert_eq!(hyper_component_count(&sub), hyper_component_count(&h));
@@ -263,16 +263,20 @@ mod tests {
         let e1 = HyperEdge::pair(3, 5);
         let e2 = HyperEdge::pair(1, 3);
         let mut msg = PlayerMessage::new(&space, 3, &seeds, params);
-        msg.apply(&space, &e1, 1);
-        msg.apply(&space, &e2, 1);
-        msg.apply(&space, &e1, -1);
+        msg.try_apply(&space, &e1, 1).unwrap();
+        msg.try_apply(&space, &e2, 1).unwrap();
+        msg.try_apply(&space, &e1, -1).unwrap();
         // Equivalent message built from the net input.
-        let net = player_sketch(&space, 3, std::slice::from_ref(&e2), &seeds, params);
+        let net = try_player_sketch(&space, 3, std::slice::from_ref(&e2), &seeds, params).unwrap();
         // Cell states must agree: verify via assembly + decode with the
         // counterpart endpoints loaded.
         let mk = |m3: PlayerMessage| {
-            let m1 = player_sketch(&space, 1, std::slice::from_ref(&e2), &seeds, params);
-            assemble_players(&space, vec![m3, m1], &seeds, params).decode()
+            let m1 =
+                try_player_sketch(&space, 1, std::slice::from_ref(&e2), &seeds, params).unwrap();
+            try_assemble_players(&space, vec![m3, m1], &seeds, params)
+                .unwrap()
+                .try_decode()
+                .unwrap()
         };
         assert_eq!(mk(msg), mk(net));
     }
@@ -285,10 +289,10 @@ mod tests {
         let seeds = SeedTree::new(9001);
         // Only players 0 and 1 report, sharing edge {0,1}.
         let e = HyperEdge::pair(0, 1);
-        let m0 = player_sketch(&space, 0, std::slice::from_ref(&e), &seeds, params);
-        let m1 = player_sketch(&space, 1, std::slice::from_ref(&e), &seeds, params);
-        let sk = assemble_players(&space, vec![m0, m1], &seeds, params);
-        let (forest, labels) = sk.decode_with_labels();
+        let m0 = try_player_sketch(&space, 0, std::slice::from_ref(&e), &seeds, params).unwrap();
+        let m1 = try_player_sketch(&space, 1, std::slice::from_ref(&e), &seeds, params).unwrap();
+        let sk = try_assemble_players(&space, vec![m0, m1], &seeds, params).unwrap();
+        let (forest, labels) = sk.try_decode_with_labels().unwrap();
         assert_eq!(forest, vec![e]);
         assert_eq!(labels.component_count(), 5);
     }
@@ -300,7 +304,7 @@ mod tests {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let seeds = SeedTree::new(9002);
         let e = HyperEdge::pair(2, 3);
-        let msg = player_sketch(&space, 2, std::slice::from_ref(&e), &seeds, params);
+        let msg = try_player_sketch(&space, 2, std::slice::from_ref(&e), &seeds, params).unwrap();
         let full = SpanningForestSketch::new_full(space, &seeds, params);
         assert_eq!(msg.size_bytes(), full.max_player_message_bytes());
         // n players' messages together equal the sketch size.
@@ -308,16 +312,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not incident")]
     fn foreign_edge_rejected() {
         let space = EdgeSpace::graph(5).unwrap();
         let params = ForestParams::new(Profile::Practical, space.dimension());
-        let _ = player_sketch(
+        let err = try_player_sketch(
             &space,
             0,
             &[HyperEdge::pair(1, 2)],
             &SeedTree::new(1),
             params,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SketchError::InvalidInput { detail } if detail.contains("not incident")),
+            "{err}"
         );
     }
 }

@@ -63,7 +63,7 @@ impl KSkeletonSketch {
         self.layers[0].space()
     }
 
-    /// Fallible signed hyperedge update applied to all `k` layers; the
+    /// Signed hyperedge update applied to all `k` layers; the
     /// first layer's validation rejects malformed elements before any layer
     /// is touched (all layers share one vertex set and space, so either
     /// every layer accepts or none do).
@@ -74,34 +74,13 @@ impl KSkeletonSketch {
         Ok(())
     }
 
-    /// Applies a signed hyperedge update to all `k` layers.
-    ///
-    /// # Panics
-    /// Panics on a malformed edge; see [`try_update`](Self::try_update).
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_update(e, delta) {
-            panic!("{err}");
-        }
-    }
-
-    /// Applies a batch of known edges to all layers (peeling support for the
-    /// `light_k` recovery of Section 4.2.1, which works with
-    /// `B(G - E_1 - …) = B(G) - Σ B(E_j)`).
-    pub fn apply_edges<'a>(
-        &mut self,
-        edges: impl IntoIterator<Item = &'a HyperEdge> + Clone,
-        delta: i64,
-    ) {
-        for layer in &mut self.layers {
-            layer.apply_edges(edges.clone(), delta);
-        }
-    }
-
-    /// Fallible skeleton decode: each layer is peeled and decoded in turn;
-    /// a layer whose Borůvka pass cannot be certified complete propagates
-    /// [`SketchError::SketchFailure`] (retryable — every layer of an
-    /// independent repetition carries fresh randomness), so a partially
-    /// recovered skeleton is never passed off as the full `F_1 ∪ … ∪ F_k`.
+    /// Decodes the k-skeleton: the union `F_1 ∪ … ∪ F_k`, returned as the
+    /// per-layer spanning graphs (flatten for the skeleton edge set). Each
+    /// layer is peeled and decoded in turn; a layer whose Borůvka pass
+    /// cannot be certified complete propagates [`SketchError::SketchFailure`]
+    /// (retryable — every layer of an independent repetition carries fresh
+    /// randomness), so a partially recovered skeleton is never passed off as
+    /// the full `F_1 ∪ … ∪ F_k`.
     pub fn try_decode_layers(&self) -> SketchResult<Vec<Vec<HyperEdge>>> {
         self.try_decode_layers_par(1)
     }
@@ -146,20 +125,8 @@ impl KSkeletonSketch {
         Ok(recovered)
     }
 
-    /// Decodes the k-skeleton: the union `F_1 ∪ … ∪ F_k`, returned as the
-    /// per-layer spanning graphs (flatten for the skeleton edge set).
-    ///
-    /// # Panics
-    /// Panics if a layer decode cannot be certified; see
+    /// Decodes the skeleton as a single deduplicated edge set; see
     /// [`try_decode_layers`](Self::try_decode_layers).
-    pub fn decode_layers(&self) -> Vec<Vec<HyperEdge>> {
-        match self.try_decode_layers() {
-            Ok(layers) => layers,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible [`decode`](Self::decode).
     pub fn try_decode(&self) -> SketchResult<Vec<HyperEdge>> {
         self.try_decode_par(1)
     }
@@ -174,19 +141,8 @@ impl KSkeletonSketch {
         Ok(out.into_iter().collect())
     }
 
-    /// Decodes the skeleton as a single deduplicated edge set.
-    ///
-    /// # Panics
-    /// Panics if a layer decode cannot be certified; see
-    /// [`try_decode`](Self::try_decode).
-    pub fn decode(&self) -> Vec<HyperEdge> {
-        match self.try_decode() {
-            Ok(edges) => edges,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible cell-wise sum with a same-seeded sketch.
+    /// Cell-wise sum with a same-seeded sketch — linearity lets sharded
+    /// stream ingestion merge partial sketches.
     pub fn try_add_assign_sketch(&mut self, rhs: &KSkeletonSketch) -> SketchResult<()> {
         if self.k != rhs.k {
             return Err(SketchError::invalid(format!(
@@ -198,17 +154,6 @@ impl KSkeletonSketch {
             a.try_add_assign_sketch(b)?;
         }
         Ok(())
-    }
-
-    /// Cell-wise sum with a same-seeded sketch — linearity lets sharded
-    /// stream ingestion merge partial sketches.
-    ///
-    /// # Panics
-    /// Panics on shape/seed mismatch; in-process shard merges always agree.
-    pub fn add_assign_sketch(&mut self, rhs: &KSkeletonSketch) {
-        if let Err(err) = self.try_add_assign_sketch(rhs) {
-            panic!("{err}");
-        }
     }
 
     /// Attach metric handles to every layer (forest decode outcome counters
@@ -241,18 +186,19 @@ impl KSkeletonSketch {
 
     /// Builds player `v`'s message — one forest message per layer — from
     /// its local incident edges (simultaneous communication model; the
-    /// seeding mirrors [`KSkeletonSketch::new`]).
-    pub fn player_message(
+    /// seeding mirrors [`KSkeletonSketch::new`]). An edge not incident to
+    /// `v` is [`SketchError::InvalidInput`].
+    pub fn try_player_message(
         space: &EdgeSpace,
         k: usize,
         v: VertexId,
         incident_edges: &[HyperEdge],
         seeds: &SeedTree,
         params: ForestParams,
-    ) -> Vec<crate::player::PlayerMessage> {
+    ) -> SketchResult<Vec<crate::player::PlayerMessage>> {
         (0..k)
             .map(|i| {
-                crate::player::player_sketch(
+                crate::player::try_player_sketch(
                     space,
                     v,
                     incident_edges,
@@ -263,7 +209,7 @@ impl KSkeletonSketch {
             .collect()
     }
 
-    /// Fallible referee assembly: installs player `v`'s per-layer messages
+    /// The referee's assembly step: installs player `v`'s per-layer messages
     /// after validating the layer count and each message's shape/seed
     /// against the slot it fills (messages arrive over an untrusted
     /// transport, so corruption must be detected, not absorbed).
@@ -282,18 +228,6 @@ impl KSkeletonSketch {
             layer.try_set_vertex_samplers(msg.vertex, msg.samplers)?;
         }
         Ok(())
-    }
-
-    /// The referee's assembly step: installs player `v`'s per-layer
-    /// messages into this (zero-initialized, same-seeded) sketch.
-    ///
-    /// # Panics
-    /// Panics on a malformed bundle; see
-    /// [`try_install_player`](Self::try_install_player).
-    pub fn install_player(&mut self, messages: Vec<crate::player::PlayerMessage>) {
-        if let Err(err) = self.try_install_player(messages) {
-            panic!("{err}");
-        }
     }
 }
 
@@ -355,9 +289,9 @@ mod tests {
             let k = rng.gen_range(1..4);
             let mut sk = sketch(n, 2, k, trial);
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
-            let skeleton = Hypergraph::from_edges(n, sk.decode());
+            let skeleton = Hypergraph::from_edges(n, sk.try_decode().unwrap());
             for e in skeleton.edges() {
                 assert!(h.has_edge(e), "trial {trial}: phantom edge {e:?}");
             }
@@ -374,9 +308,9 @@ mod tests {
             let k = 2;
             let mut sk = sketch(n, 3, k, 100 + trial);
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
-            let skeleton = Hypergraph::from_edges(n, sk.decode());
+            let skeleton = Hypergraph::from_edges(n, sk.try_decode().unwrap());
             for e in skeleton.edges() {
                 assert!(h.has_edge(e), "trial {trial}: phantom hyperedge");
             }
@@ -390,9 +324,9 @@ mod tests {
         let g = Graph::complete(n);
         let mut sk = sketch(n, 2, 3, 55);
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
         }
-        let layers = sk.decode_layers();
+        let layers = sk.try_decode_layers().unwrap();
         assert_eq!(layers.len(), 3);
         let mut seen = std::collections::BTreeSet::new();
         for layer in &layers {
@@ -410,9 +344,9 @@ mod tests {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
         let mut sk = sketch(7, 2, 2, 56);
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
         }
-        let skeleton = sk.decode();
+        let skeleton = sk.try_decode().unwrap();
         assert_eq!(skeleton.len(), 6);
     }
 
@@ -427,18 +361,18 @@ mod tests {
         let noise = gnp(n, 0.5, &mut rng);
         for (u, v) in noise.edges() {
             if !g.has_edge(u, v) {
-                sk.update(&HyperEdge::pair(u, v), 1);
+                sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
             }
         }
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         for (u, v) in noise.edges() {
             if !g.has_edge(u, v) {
-                sk.update(&HyperEdge::pair(u, v), -1);
+                sk.try_update(&HyperEdge::pair(u, v), -1).unwrap();
             }
         }
-        let skeleton = Hypergraph::from_edges(n, sk.decode());
+        let skeleton = Hypergraph::from_edges(n, sk.try_decode().unwrap());
         for e in skeleton.edges() {
             assert!(h.has_edge(e), "noise edge {e:?} leaked into skeleton");
         }
@@ -458,9 +392,9 @@ mod tests {
             let k = rng.gen_range(2..4);
             let mut sk = sketch(n, 2, k, 900 + trial);
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
-            let skel = Hypergraph::from_edges(n, sk.decode());
+            let skel = Hypergraph::from_edges(n, sk.try_decode().unwrap());
             for (idx, e) in skel.edges().iter().enumerate() {
                 let lam_h = lambda_e(&skel, idx, k);
                 let orig_idx = h.edges().iter().position(|x| x == e).unwrap();
@@ -487,9 +421,9 @@ mod tests {
             let k = rng.gen_range(1..3);
             let mut sk = sketch(n, 2, k + 1, 950 + trial);
             for e in h.edges() {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
-            let skel = Hypergraph::from_edges(n, sk.decode());
+            let skel = Hypergraph::from_edges(n, sk.try_decode().unwrap());
             for (idx, e) in h.edges().iter().enumerate() {
                 if lambda_e(&h, idx, k + 1) <= k {
                     assert!(
@@ -515,7 +449,7 @@ mod tests {
 
         let mut central = KSkeletonSketch::new(space.clone(), k, &seeds, params);
         for e in h.edges() {
-            central.update(e, 1);
+            central.try_update(e, 1).unwrap();
         }
 
         let mut assembled = KSkeletonSketch::new(space.clone(), k, &seeds, params);
@@ -526,11 +460,18 @@ mod tests {
                 .filter(|e| e.contains(v))
                 .cloned()
                 .collect();
-            let msgs = KSkeletonSketch::player_message(&space, k, v, &incident, &seeds, params);
-            assembled.install_player(msgs);
+            let msgs = KSkeletonSketch::try_player_message(&space, k, v, &incident, &seeds, params)
+                .unwrap();
+            assembled.try_install_player(msgs).unwrap();
         }
-        assert_eq!(central.decode(), assembled.decode());
-        assert_eq!(central.decode_layers(), assembled.decode_layers());
+        assert_eq!(
+            central.try_decode().unwrap(),
+            assembled.try_decode().unwrap()
+        );
+        assert_eq!(
+            central.try_decode_layers().unwrap(),
+            assembled.try_decode_layers().unwrap()
+        );
     }
 
     #[test]
@@ -542,7 +483,7 @@ mod tests {
             let k = rng.gen_range(1..4);
             let mut sk = sketch(n, 2, k, 200 + trial);
             for (u, v) in g.edges() {
-                sk.update(&HyperEdge::pair(u, v), 1);
+                sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
             }
             let seq_layers = sk.try_decode_layers().unwrap();
             let seq = sk.try_decode().unwrap();

@@ -6,21 +6,22 @@
 //! typed-error invariant: a failed decode never masquerades as an answer),
 //! the classic amplification argument applies directly: run `R`
 //! structurally identical sketches seeded from **sibling seeds** of one
-//! [`SeedTree`], ingest the same stream into each, and answer from the
+//! [`SeedTree`](dgs_field::SeedTree), ingest the same stream into each, and answer from the
 //! first repetition whose decode certifies. The repetitions are mutually
 //! independent, so the probability that *all* fail is `δ^R`.
 //!
 //! [`BoostedQuery`] packages that pattern:
 //!
-//! * [`query`](BoostedQuery::query) resolves by **first success**. Correct
-//!   whenever failures are detected (the workspace invariant), which makes
-//!   every success equally trustworthy; this is the paper's implicit
-//!   "repeat `O(log n)` times" device. It short-circuits on
-//!   [`SketchError::InvalidInput`]: a malformed stream poisons every
-//!   repetition identically, so retrying is useless and the outcome is
-//!   [`QueryOutcome::Invalid`]. Majority voting, which also guards against
-//!   *undetected* wrong answers, is [`QueryPolicy::Majority`] of
-//!   [`query_ensemble`].
+//! * [`query`](BoostedQuery::query) resolves by **first success** through
+//!   [`query_ensemble`], into the same [`SupervisedAnswer`] a supervised
+//!   ensemble returns. Correct whenever failures are detected (the
+//!   workspace invariant), which makes every success equally trustworthy;
+//!   this is the paper's implicit "repeat `O(log n)` times" device. It
+//!   short-circuits on [`SketchError::InvalidInput`]: a malformed stream
+//!   poisons every repetition identically, so retrying is useless and the
+//!   answer is [`SupervisedAnswer::Invalid`]. Majority voting, which also
+//!   guards against *undetected* wrong answers, is
+//!   [`QueryPolicy::Majority`] of [`query_ensemble`].
 //! * [`apply_batch`](BoostedQuery::apply_batch) ingests a batch into every
 //!   repetition, striped by [`dgs_pool::stripe`].
 //!   Each repetition's sketch is independent, so no cross-thread merging is
@@ -30,8 +31,6 @@
 //! through the same primitive, so a boosted ensemble is striped one way,
 //! with one panic contract, at every thread count.
 //!
-//! [`QueryPolicy::Majority`]: crate::supervise::QueryPolicy::Majority
-//! [`query_ensemble`]: crate::supervise::query_ensemble
 //! [`SupervisedIngestor`]: crate::supervise::SupervisedIngestor
 
 use dgs_hypergraph::Update;
@@ -39,59 +38,7 @@ use dgs_obs::{Counter, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
 
 use crate::checkpoint::Recoverable;
-
-/// The resolution of a boosted query.
-#[derive(Clone, Debug, PartialEq)]
-pub enum QueryOutcome<T> {
-    /// A repetition produced a certified answer.
-    Answer {
-        /// The resolved answer.
-        value: T,
-        /// Repetitions that failed (retryably) before/while resolving.
-        failed_repetitions: usize,
-    },
-    /// Every repetition failed retryably — the `δ^R` event. The caller
-    /// knows it does *not* know; no silent wrong answer was emitted.
-    Unknown {
-        /// Number of failed repetitions (= `R`).
-        failed_repetitions: usize,
-    },
-    /// The input itself is malformed; no amount of repetition helps.
-    Invalid(SketchError),
-}
-
-impl<T> QueryOutcome<T> {
-    /// The answer, if one was resolved.
-    pub fn answer(&self) -> Option<&T> {
-        match self {
-            QueryOutcome::Answer { value, .. } => Some(value),
-            _ => None,
-        }
-    }
-
-    /// True iff the query resolved to an answer.
-    pub fn is_answer(&self) -> bool {
-        matches!(self, QueryOutcome::Answer { .. })
-    }
-
-    /// True iff the query degraded to an explicit "unknown".
-    pub fn is_unknown(&self) -> bool {
-        matches!(self, QueryOutcome::Unknown { .. })
-    }
-
-    /// Converts to a `Result`: `Ok(value)` on answer, the underlying error
-    /// otherwise (`Unknown` becomes a retryable `SketchFailure`).
-    pub fn into_result(self) -> SketchResult<T> {
-        match self {
-            QueryOutcome::Answer { value, .. } => Ok(value),
-            QueryOutcome::Unknown { failed_repetitions } => Err(SketchError::failure(
-                "boosted-query",
-                format!("all {failed_repetitions} repetitions failed"),
-            )),
-            QueryOutcome::Invalid(e) => Err(e),
-        }
-    }
-}
+use crate::supervise::{query_ensemble, QueryBudget, QueryPolicy, SupervisedAnswer, DELTA};
 
 /// Metric handles for one boosted query; null (free) by default, shared
 /// across clones.
@@ -172,37 +119,43 @@ impl<S> BoostedQuery<S> {
         &self.repetitions
     }
 
-    /// Resolves a query by **first success** over the repetitions.
-    /// Retryable failures are counted and skipped; `InvalidInput`
-    /// short-circuits to [`QueryOutcome::Invalid`].
-    pub fn query<T>(&self, q: impl Fn(&S) -> SketchResult<T>) -> QueryOutcome<T> {
+    /// Resolves a query by **first success** over the repetitions:
+    /// [`query_ensemble`] with [`QueryPolicy::FirstSuccess`] and an
+    /// unlimited [`QueryBudget`]. Every repetition is live, so the answer is
+    /// `Full`, `Unknown` (all `R` failed retryably) or `Invalid` (the first
+    /// non-retryable error, which short-circuits).
+    pub fn query<T: Clone + PartialEq>(
+        &self,
+        q: impl Fn(&S) -> SketchResult<T>,
+    ) -> SupervisedAnswer<T> {
         // Inert without an ambient trace; under one, records how long the
         // boosted decode took end to end.
         let _span = dgs_trace::child("dgs_core_boost_decode");
-        let mut failed = 0;
-        for s in &self.repetitions {
-            match q(s) {
-                Ok(value) => {
-                    self.metrics.answers.inc();
-                    self.metrics
-                        .repetitions_until_success
-                        .record(failed as u64 + 1);
-                    return QueryOutcome::Answer {
-                        value,
-                        failed_repetitions: failed,
-                    };
-                }
-                Err(e) if e.is_retryable() => failed += 1,
-                Err(e) => {
-                    self.metrics.invalid.inc();
-                    return QueryOutcome::Invalid(e);
-                }
+        let live: Vec<(usize, &S)> = self.repetitions.iter().enumerate().collect();
+        let answer = query_ensemble(
+            &live,
+            live.len(),
+            DELTA,
+            &QueryBudget::default(),
+            QueryPolicy::FirstSuccess,
+            |_, s| q(s),
+        )
+        .answer;
+        match &answer {
+            SupervisedAnswer::Full {
+                failed_repetitions, ..
+            } => {
+                self.metrics.answers.inc();
+                self.metrics
+                    .repetitions_until_success
+                    .record(*failed_repetitions as u64 + 1);
             }
+            SupervisedAnswer::Unknown { .. } => self.metrics.unknowns.inc(),
+            SupervisedAnswer::Invalid(_) => self.metrics.invalid.inc(),
+            // Unreachable with every repetition live and no budget.
+            SupervisedAnswer::Degraded { .. } | SupervisedAnswer::DeadlineExceeded { .. } => {}
         }
-        self.metrics.unknowns.inc();
-        QueryOutcome::Unknown {
-            failed_repetitions: failed,
-        }
+        answer
     }
 }
 
@@ -288,7 +241,7 @@ mod tests {
         let b = boosted(5);
         assert_eq!(
             b.query(failing_below(3)),
-            QueryOutcome::Answer {
+            SupervisedAnswer::Full {
                 value: 42,
                 failed_repetitions: 3
             }
@@ -301,12 +254,13 @@ mod tests {
         let out = b.query(failing_below(10));
         assert_eq!(
             out,
-            QueryOutcome::Unknown {
-                failed_repetitions: 4
+            SupervisedAnswer::Unknown {
+                healthy_repetitions: 4,
+                total_repetitions: 4,
+                effective_delta: DELTA.powi(4),
             }
         );
-        assert!(out.clone().into_result().unwrap_err().is_retryable());
-        assert!(out.is_unknown() && !out.is_answer());
+        assert!(!out.is_answered());
     }
 
     #[test]
@@ -314,17 +268,14 @@ mod tests {
         let b = boosted(3);
         let out =
             b.query(|_s: &Stub| -> SketchResult<i64> { Err(SketchError::invalid("bad stream")) });
-        assert!(matches!(out, QueryOutcome::Invalid(ref e) if !e.is_retryable()));
+        assert!(matches!(out, SupervisedAnswer::Invalid(ref e) if !e.is_retryable()));
     }
 
     #[test]
     fn outcome_accessors() {
-        let a = QueryOutcome::Answer {
-            value: 9,
-            failed_repetitions: 0,
-        };
-        assert_eq!(a.answer(), Some(&9));
-        assert_eq!(a.into_result().unwrap(), 9);
+        let a = boosted(2).query(failing_below(0));
+        assert_eq!(a.value(), Some(&42));
+        assert!(a.is_answered());
     }
 
     fn encoded<T: Codec>(t: &T) -> Vec<u8> {

@@ -26,7 +26,7 @@
 //! The manifest binds the sketch bytes to the stream position they
 //! represent and to the seed namespace the sketch was built under; a
 //! snapshot whose manifest or payload fails validation is skipped (counted
-//! in [`Recovered::snapshots_skipped`]), not trusted.
+//! in [`Recovered::snapshot_defects`]), not trusted.
 
 use std::fs;
 use std::io::Write as _;

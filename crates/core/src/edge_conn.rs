@@ -51,24 +51,18 @@ impl EdgeConnSketch {
         self.skeleton.space()
     }
 
-    /// Fallible signed hyperedge update; see
-    /// [`KSkeletonSketch::try_update`].
+    /// Signed hyperedge update; see [`KSkeletonSketch::try_update`].
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
         self.skeleton.try_update(e, delta)
     }
 
-    /// Applies a signed hyperedge update.
-    ///
-    /// # Panics
-    /// Panics on a malformed edge; see [`try_update`](Self::try_update).
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        self.skeleton.update(e, delta);
-    }
-
-    /// Fallible edge-connectivity query: an uncertified skeleton decode
-    /// propagates as a retryable [`dgs_sketch::SketchError::SketchFailure`]
-    /// instead of an understated `min(λ, k)`.
+    /// Decodes the skeleton and returns `min(λ(G), k)` (whp), together with
+    /// a witness side of a minimum cut when `λ(G) < k` (for `λ >= k` the
+    /// side witnesses some cut of size ≥ k in the skeleton, not necessarily
+    /// minimum in `G`). An uncertified skeleton decode propagates as a
+    /// retryable [`dgs_sketch::SketchError::SketchFailure`] instead of an
+    /// understated `min(λ, k)`.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_edge_connectivity(&self) -> SketchResult<(usize, Vec<bool>)> {
         let n = self.space().n();
@@ -86,34 +80,10 @@ impl EdgeConnSketch {
         self.skeleton.set_sink(sink);
     }
 
-    /// Decodes the skeleton and returns `min(λ(G), k)` (whp), together with
-    /// a witness side of a minimum cut when `λ(G) < k` (for `λ >= k` the
-    /// side witnesses some cut of size ≥ k in the skeleton, not necessarily
-    /// minimum in `G`).
-    ///
-    /// # Panics
-    /// Panics if the skeleton decode cannot be certified; see
-    /// [`try_edge_connectivity`](Self::try_edge_connectivity).
-    pub fn edge_connectivity(&self) -> (usize, Vec<bool>) {
-        match self.try_edge_connectivity() {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible k-edge-connectivity verdict.
+    /// True (whp) iff the sketched (hyper)graph is k-edge-connected.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_is_k_edge_connected(&self) -> SketchResult<bool> {
         Ok(self.try_edge_connectivity()?.0 >= self.k)
-    }
-
-    /// True (whp) iff the sketched (hyper)graph is k-edge-connected.
-    ///
-    /// # Panics
-    /// Panics if the skeleton decode cannot be certified; see
-    /// [`try_is_k_edge_connected`](Self::try_is_k_edge_connected).
-    pub fn is_k_edge_connected(&self) -> bool {
-        self.edge_connectivity().0 >= self.k
     }
 
     /// Sketch size in bytes.
@@ -144,7 +114,7 @@ mod tests {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk = EdgeConnSketch::new(space, k, &SeedTree::new(0xEC0).child(label), params);
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         sk
     }
@@ -159,7 +129,7 @@ mod tests {
                     continue;
                 }
                 let sk = sketch_for(&h, k, (lambda * 10 + k) as u64);
-                let (est, side) = sk.edge_connectivity();
+                let (est, side) = sk.try_edge_connectivity().unwrap();
                 assert_eq!(est, lambda.min(k), "H_{{{lambda},{n}}} with k = {k}");
                 if lambda < k {
                     // The witness side must realize the minimum cut.
@@ -175,10 +145,10 @@ mod tests {
         let (g, _) = planted_edge_cut(8, 8, 2, 0.9, &mut rng);
         let h = Hypergraph::from_graph(&g);
         let sk = sketch_for(&h, 4, 50);
-        let (est, side) = sk.edge_connectivity();
+        let (est, side) = sk.try_edge_connectivity().unwrap();
         assert_eq!(est, 2);
         assert_eq!(h.cut_size(&side), 2);
-        assert!(!sk.is_k_edge_connected());
+        assert!(!sk.try_is_k_edge_connected().unwrap());
     }
 
     #[test]
@@ -187,7 +157,7 @@ mod tests {
         let (h, _) = planted_hyper_cut(7, 7, 3, 16, 2, &mut rng);
         assert_eq!(hyper_edge_connectivity(&h), 2);
         let sk = sketch_for(&h, 5, 60);
-        let (est, side) = sk.edge_connectivity();
+        let (est, side) = sk.try_edge_connectivity().unwrap();
         assert_eq!(est, 2);
         assert_eq!(h.cut_size(&side), 2);
     }
@@ -196,16 +166,16 @@ mod tests {
     fn saturates_at_k_for_dense_graphs() {
         let h = Hypergraph::from_graph(&Graph::complete(10)); // λ = 9
         let sk = sketch_for(&h, 3, 70);
-        let (est, _) = sk.edge_connectivity();
+        let (est, _) = sk.try_edge_connectivity().unwrap();
         assert_eq!(est, 3, "answer is min(λ, k)");
-        assert!(sk.is_k_edge_connected());
+        assert!(sk.try_is_k_edge_connected().unwrap());
     }
 
     #[test]
     fn disconnected_reports_zero() {
         let g = Graph::from_edges(6, &[(0, 1), (2, 3)]);
         let sk = sketch_for(&Hypergraph::from_graph(&g), 2, 80);
-        let (est, side) = sk.edge_connectivity();
+        let (est, side) = sk.try_edge_connectivity().unwrap();
         assert_eq!(est, 0);
         assert!(side.iter().any(|&b| b) && side.iter().any(|&b| !b));
     }
@@ -222,18 +192,18 @@ mod tests {
         let noise = random_uniform_hypergraph(10, 3, 15, &mut rng);
         for e in noise.edges() {
             if !h.has_edge(e) {
-                sk.update(e, 1);
+                sk.try_update(e, 1).unwrap();
             }
         }
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         for e in noise.edges() {
             if !h.has_edge(e) {
-                sk.update(e, -1);
+                sk.try_update(e, -1).unwrap();
             }
         }
-        assert_eq!(sk.edge_connectivity().0, truth.min(4));
+        assert_eq!(sk.try_edge_connectivity().unwrap().0, truth.min(4));
     }
 
     #[test]
@@ -246,7 +216,11 @@ mod tests {
             let k = rng.gen_range(1..5);
             let truth = hyper_edge_connectivity(&h).min(k);
             let sk = sketch_for(&h, k, 100 + trial);
-            assert_eq!(sk.edge_connectivity().0, truth, "trial {trial}, k = {k}");
+            assert_eq!(
+                sk.try_edge_connectivity().unwrap().0,
+                truth,
+                "trial {trial}, k = {k}"
+            );
         }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! | Result | API |
 //! |---|---|
-//! | Thm 4 — query "does removing `S`, `\|S\| <= k`, disconnect `G`?" in `O(kn polylog)` space | [`VertexConnSketch::certificate`] → [`VertexConnCertificate::disconnects`] |
+//! | Thm 4 — query "does removing `S`, `\|S\| <= k`, disconnect `G`?" in `O(kn polylog)` space | [`VertexConnSketch::try_certificate`] → [`VertexConnCertificate::disconnects`] |
 //! | Thm 6/8, Cor 7 — distinguish `(1+ε)k`-vertex-connected from not-`k`-connected | [`VertexConnSketch`] with [`VertexConnConfig::estimator`] → [`VertexConnCertificate::vertex_connectivity`] |
 //! | Thm 13 remark — the above over hypergraphs | same APIs with `max_rank > 2` |
 //! | edge connectivity `min(λ, k)` via skeletons (the Section 1.1 substrate) | [`EdgeConnSketch`] |
@@ -41,7 +41,7 @@ pub mod sparsify;
 pub mod supervise;
 pub mod vertex_conn;
 
-pub use boost::{BoostedQuery, QueryOutcome};
+pub use boost::BoostedQuery;
 pub use checkpoint::{
     CheckpointConfig, CheckpointStore, Recoverable, Recovered, RecoveryDriver, RecoveryError,
 };

@@ -27,7 +27,7 @@ use dgs_connectivity::{ForestParams, KSkeletonSketch};
 use dgs_field::SeedTree;
 use dgs_hypergraph::algo::strength::lambda_e;
 use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
-use dgs_sketch::SketchResult;
+use dgs_sketch::{SketchError, SketchResult};
 
 /// The outcome of a `light_k` peeling.
 #[derive(Clone, Debug)]
@@ -94,35 +94,16 @@ impl LightRecoverySketch {
         self.skeleton.space()
     }
 
-    /// Fallible signed hyperedge update; see
-    /// [`KSkeletonSketch::try_update`].
+    /// Signed hyperedge update; see [`KSkeletonSketch::try_update`].
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
         self.skeleton.try_update(e, delta)
     }
 
-    /// Applies a signed hyperedge update.
-    ///
-    /// # Panics
-    /// Panics on a malformed edge; see [`try_update`](Self::try_update).
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        self.skeleton.update(e, delta);
-    }
-
-    /// Applies a batch of known edges (outer-level peeling support for the
-    /// sparsifier, which removes `F_j ∩ G_i` before recovering level `i`).
-    pub fn apply_edges<'a>(
-        &mut self,
-        edges: impl IntoIterator<Item = &'a HyperEdge> + Clone,
-        delta: i64,
-    ) {
-        self.skeleton.apply_edges(edges, delta);
-    }
-
-    /// Fallible peeling decoder: a layer decode that cannot be certified
-    /// propagates as a retryable
-    /// [`dgs_sketch::SketchError::SketchFailure`] rather than silently
-    /// terminating the peeling early (which would understate `light_k`).
+    /// Runs the peeling decoder. A layer decode that cannot be certified
+    /// propagates as a retryable [`SketchError::SketchFailure`] rather than
+    /// silently terminating the peeling early (which would understate
+    /// `light_k`).
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_recover(&self) -> SketchResult<LightRecovery> {
         let n = self.space().n();
@@ -149,25 +130,15 @@ impl LightRecoverySketch {
                 // reconstruction incomplete.
                 break;
             }
-            adjusted.apply_edges(e_i.iter(), -1);
+            for e in &e_i {
+                adjusted.try_update(e, -1)?;
+            }
             rounds.push(e_i);
         }
         Ok(LightRecovery { rounds, complete })
     }
 
-    /// Runs the peeling decoder.
-    ///
-    /// # Panics
-    /// Panics if a layer decode cannot be certified; see
-    /// [`try_recover`](Self::try_recover).
-    pub fn recover(&self) -> LightRecovery {
-        match self.try_recover() {
-            Ok(rec) => rec,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible full reconstruction: `Ok(Some(G))` iff the input was
+    /// Full reconstruction: `Ok(Some(G))` iff the input was
     /// k-cut-degenerate, `Ok(None)` if the peeling provably stalled on
     /// heavy edges (an explicit "not reconstructible", not a failure), and
     /// `Err` if a decode could not be certified.
@@ -179,22 +150,17 @@ impl LightRecoverySketch {
             .then(|| Hypergraph::from_edges(self.space().n(), rec.edges())))
     }
 
-    /// Full reconstruction: `Some(G)` iff the input was k-cut-degenerate
-    /// (equivalently, the peeling consumed every edge).
-    ///
-    /// # Panics
-    /// Panics if a layer decode cannot be certified; see
-    /// [`try_reconstruct`](Self::try_reconstruct).
-    pub fn reconstruct(&self) -> Option<Hypergraph> {
-        let rec = self.recover();
-        rec.complete
-            .then(|| Hypergraph::from_edges(self.space().n(), rec.edges()))
-    }
-
-    /// Cell-wise sum with a same-seeded sketch (sharded ingestion).
-    pub fn add_assign_sketch(&mut self, rhs: &LightRecoverySketch) {
-        assert_eq!(self.k, rhs.k, "light parameter mismatch");
-        self.skeleton.add_assign_sketch(&rhs.skeleton);
+    /// Cell-wise sum with a same-seeded sketch (sharded ingestion); a
+    /// different `k` or a shape/seed mismatch is
+    /// [`SketchError::InvalidInput`].
+    pub fn try_add_assign_sketch(&mut self, rhs: &LightRecoverySketch) -> SketchResult<()> {
+        if self.k != rhs.k {
+            return Err(SketchError::invalid(format!(
+                "light parameter mismatch: k {} vs {}",
+                self.k, rhs.k
+            )));
+        }
+        self.skeleton.try_add_assign_sketch(&rhs.skeleton)
     }
 
     /// Sketch size in bytes.
@@ -210,20 +176,24 @@ impl LightRecoverySketch {
 
     /// Player `v`'s message — the Theorem 15 claim made operational: `k+1`
     /// forest messages computed from `v`'s incident hyperedges alone.
-    pub fn player_message(
+    pub fn try_player_message(
         space: &EdgeSpace,
         k: usize,
         v: dgs_hypergraph::VertexId,
         incident_edges: &[HyperEdge],
         seeds: &SeedTree,
         params: dgs_connectivity::ForestParams,
-    ) -> Vec<dgs_connectivity::PlayerMessage> {
-        KSkeletonSketch::player_message(space, k + 1, v, incident_edges, seeds, params)
+    ) -> SketchResult<Vec<dgs_connectivity::PlayerMessage>> {
+        KSkeletonSketch::try_player_message(space, k + 1, v, incident_edges, seeds, params)
     }
 
-    /// The referee's assembly step for one player.
-    pub fn install_player(&mut self, messages: Vec<dgs_connectivity::PlayerMessage>) {
-        self.skeleton.install_player(messages);
+    /// The referee's assembly step for one player; see
+    /// [`KSkeletonSketch::try_install_player`].
+    pub fn try_install_player(
+        &mut self,
+        messages: Vec<dgs_connectivity::PlayerMessage>,
+    ) -> SketchResult<()> {
+        self.skeleton.try_install_player(messages)
     }
 }
 
@@ -261,7 +231,7 @@ mod tests {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk = LightRecoverySketch::new(space, k, &SeedTree::new(606).child(label), params);
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         sk
     }
@@ -277,7 +247,10 @@ mod tests {
             let g = random_tree(15, &mut rng);
             let h = Hypergraph::from_graph(&g);
             let sk = sketch_for(&h, 1, trial);
-            let rec = sk.reconstruct().expect("tree is 1-cut-degenerate");
+            let rec = sk
+                .try_reconstruct()
+                .unwrap()
+                .expect("tree is 1-cut-degenerate");
             assert_eq!(rec.edge_count(), h.edge_count(), "trial {trial}");
             for e in h.edges() {
                 assert!(rec.has_edge(e), "trial {trial}: missing {e:?}");
@@ -290,7 +263,10 @@ mod tests {
         let g = grid(4, 4);
         let h = Hypergraph::from_graph(&g);
         let sk = sketch_for(&h, 2, 10);
-        let rec = sk.reconstruct().expect("grid is 2-cut-degenerate");
+        let rec = sk
+            .try_reconstruct()
+            .unwrap()
+            .expect("grid is 2-cut-degenerate");
         assert_eq!(rec.edge_count(), h.edge_count());
     }
 
@@ -302,7 +278,10 @@ mod tests {
         let g = lemma10_gadget();
         let h = Hypergraph::from_graph(&g);
         let sk = sketch_for(&h, 2, 11);
-        let rec = sk.reconstruct().expect("gadget is 2-cut-degenerate");
+        let rec = sk
+            .try_reconstruct()
+            .unwrap()
+            .expect("gadget is 2-cut-degenerate");
         assert_eq!(rec.edge_count(), h.edge_count());
         for e in h.edges() {
             assert!(rec.has_edge(e));
@@ -324,7 +303,7 @@ mod tests {
         let h = Hypergraph::from_graph(&g);
         for k in [1usize, 2] {
             let sk = sketch_for(&h, k, 20 + k as u64);
-            let rec = sk.recover();
+            let rec = sk.try_recover().unwrap();
             assert!(!rec.complete, "K6 edges are 5-strong, k = {k}");
             let (exact, _) = light_k_exact(&h, k);
             let exact_set: BTreeSet<HyperEdge> =
@@ -359,17 +338,20 @@ mod tests {
             .into_iter()
             .collect();
         for e in &noise {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
         for e in &noise {
-            sk.update(e, -1);
+            sk.try_update(e, -1).unwrap();
         }
         // random_d_degenerate(., 2, .) graphs may have cut-degeneracy 1 or 2;
         // k = 2 covers both.
-        let rec = sk.reconstruct().expect("2-cut-degenerate after churn");
+        let rec = sk
+            .try_reconstruct()
+            .unwrap()
+            .expect("2-cut-degenerate after churn");
         assert_eq!(rec.edge_count(), h.edge_count());
     }
 
@@ -388,7 +370,10 @@ mod tests {
             ],
         );
         let sk = sketch_for(&h, 1, 30);
-        let rec = sk.reconstruct().expect("hypertree is 1-cut-degenerate");
+        let rec = sk
+            .try_reconstruct()
+            .unwrap()
+            .expect("hypertree is 1-cut-degenerate");
         assert_eq!(rec.edge_count(), 4);
     }
 
@@ -396,8 +381,11 @@ mod tests {
     fn reconstruct_fails_loudly_when_k_too_small() {
         let h = Hypergraph::from_graph(&Graph::complete(7));
         let sk = sketch_for(&h, 2, 40);
-        assert!(sk.reconstruct().is_none(), "K7 is not 2-cut-degenerate");
-        let rec = sk.recover();
+        assert!(
+            sk.try_reconstruct().unwrap().is_none(),
+            "K7 is not 2-cut-degenerate"
+        );
+        let rec = sk.try_recover().unwrap();
         assert!(!rec.complete);
         assert_eq!(rec.edge_count(), 0, "no K7 edge has λ_e <= 2");
     }
@@ -409,7 +397,7 @@ mod tests {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]);
         let h = Hypergraph::from_graph(&g);
         let sk = sketch_for(&h, 1, 50);
-        let rec = sk.recover();
+        let rec = sk.try_recover().unwrap();
         assert!(!rec.complete);
         assert_eq!(rec.rounds.len(), 1);
         assert_eq!(rec.rounds[0], vec![HyperEdge::pair(4, 5)]);
@@ -426,7 +414,7 @@ mod tests {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6)]);
         let h = Hypergraph::from_graph(&g);
         let sk = sketch_for(&h, 1, 60);
-        let rec = sk.recover();
+        let rec = sk.try_recover().unwrap();
         let (exact, exact_rounds) = light_k_exact(&h, 1);
         assert_eq!(rec.edge_count(), exact.len());
         assert_eq!(

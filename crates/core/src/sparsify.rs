@@ -28,7 +28,7 @@
 use dgs_connectivity::ForestParams;
 use dgs_field::{SeedTree, UniformHash};
 use dgs_hypergraph::{EdgeSpace, HyperEdge, WeightedHypergraph};
-use dgs_sketch::{Profile, SketchResult};
+use dgs_sketch::{Profile, SketchError, SketchResult};
 
 use crate::reconstruct::LightRecoverySketch;
 
@@ -135,29 +135,20 @@ impl HypergraphSparsifier {
             .level(self.space.rank(e), self.cfg.levels - 1)
     }
 
-    /// Fallible signed hyperedge update applied to every level containing
-    /// the edge.
+    /// Signed hyperedge update applied to every level containing it
+    /// (expected 2 levels per update). Level 0 holds every edge, so its
+    /// validation rejects a malformed edge before any level is touched.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        let top = self.edge_level(e);
-        for i in 0..=top {
+        self.levels[0].try_update(e, delta)?;
+        for i in 1..=self.edge_level(e) {
             self.levels[i].try_update(e, delta)?;
         }
         Ok(())
     }
 
-    /// Applies a signed hyperedge update to every level containing it
-    /// (expected 2 levels per update).
-    ///
-    /// # Panics
-    /// Panics on a malformed edge; see [`try_update`](Self::try_update).
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_update(e, delta) {
-            panic!("{err}");
-        }
-    }
-
-    /// Fallible full decode: a level whose `light_k` recovery cannot be
+    /// Runs the full decode: per-level `light_k` recovery with cross-level
+    /// peeling, weights `2^i`. A level whose `light_k` recovery cannot be
     /// certified propagates a retryable
     /// [`dgs_sketch::SketchError::SketchFailure`] — the alternative would
     /// be a sparsifier silently missing a level's edges, i.e. a wrong
@@ -166,23 +157,6 @@ impl HypergraphSparsifier {
     /// detectable "budget exhausted" outcome.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_decode(&self) -> SketchResult<SparsifierResult> {
-        self.decode_impl()
-    }
-
-    /// Runs the full decode: per-level `light_k` recovery with cross-level
-    /// peeling, weights `2^i`.
-    ///
-    /// # Panics
-    /// Panics if a level decode cannot be certified; see
-    /// [`try_decode`](Self::try_decode).
-    pub fn decode(&self) -> SparsifierResult {
-        match self.decode_impl() {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    fn decode_impl(&self) -> SketchResult<SparsifierResult> {
         let n = self.space.n();
         let mut sparsifier = WeightedHypergraph::new(n);
         let mut recovered: Vec<Vec<HyperEdge>> = Vec::new();
@@ -193,9 +167,9 @@ impl HypergraphSparsifier {
             for f in &recovered {
                 // F_j ∩ G_i: previously recovered edges that also survived
                 // into this level's subsample.
-                let in_level: Vec<&HyperEdge> =
-                    f.iter().filter(|e| self.edge_level(e) >= i).collect();
-                adjusted.apply_edges(in_level, -1);
+                for e in f.iter().filter(|e| self.edge_level(e) >= i) {
+                    adjusted.try_update(e, -1)?;
+                }
             }
             let rec = adjusted.try_recover()?;
             let f_i = rec.edges();
@@ -218,13 +192,21 @@ impl HypergraphSparsifier {
         })
     }
 
-    /// Cell-wise sum with a same-seeded sketch (sharded ingestion).
-    pub fn add_assign_sketch(&mut self, rhs: &HypergraphSparsifier) {
-        assert_eq!(self.cfg.levels, rhs.cfg.levels, "config mismatch");
-        assert_eq!(self.cfg.k, rhs.cfg.k, "config mismatch");
-        for (a, b) in self.levels.iter_mut().zip(&rhs.levels) {
-            a.add_assign_sketch(b);
+    /// Cell-wise sum with a same-seeded sketch (sharded ingestion); a
+    /// different configuration or a shape/seed mismatch is
+    /// [`SketchError::InvalidInput`].
+    pub fn try_add_assign_sketch(&mut self, rhs: &HypergraphSparsifier) -> SketchResult<()> {
+        if (self.cfg.levels, self.cfg.k) != (rhs.cfg.levels, rhs.cfg.k) {
+            return Err(SketchError::invalid(format!(
+                "sparsifier config mismatch: (levels, k) {:?} vs {:?}",
+                (self.cfg.levels, self.cfg.k),
+                (rhs.cfg.levels, rhs.cfg.k)
+            )));
         }
+        for (a, b) in self.levels.iter_mut().zip(&rhs.levels) {
+            a.try_add_assign_sketch(b)?;
+        }
+        Ok(())
     }
 
     /// Sketch size in bytes.
@@ -246,44 +228,51 @@ impl HypergraphSparsifier {
     /// incident hyperedges surviving into `G_i` (publicly computable from
     /// the shared level hash) — Theorem 20's "vertex-based" claim made
     /// operational.
-    pub fn player_message(
+    pub fn try_player_message(
         space: &EdgeSpace,
         cfg: &SparsifierConfig,
         seeds: &SeedTree,
         v: dgs_hypergraph::VertexId,
         incident_edges: &[HyperEdge],
-    ) -> SparsifierPlayerMessage {
+    ) -> SketchResult<SparsifierPlayerMessage> {
         let level_hash = UniformHash::new(&seeds.child(0), 8);
-        let edge_level = |e: &HyperEdge| level_hash.level(space.rank(e), cfg.levels - 1);
-        let per_level = (0..cfg.levels)
-            .map(|i| {
-                let in_level: Vec<HyperEdge> = incident_edges
-                    .iter()
-                    .filter(|e| edge_level(e) >= i)
-                    .cloned()
-                    .collect();
-                crate::reconstruct::LightRecoverySketch::player_message(
-                    space,
-                    cfg.k,
-                    v,
-                    &in_level,
-                    &seeds.child(1).child(i as u64),
-                    cfg.forest,
-                )
-            })
-            .collect();
-        SparsifierPlayerMessage {
+        let mut in_level = incident_edges.to_vec();
+        let mut per_level = Vec::with_capacity(cfg.levels);
+        for i in 0..cfg.levels {
+            // Level 0 keeps every edge and validates it, so ranking the
+            // survivors for the deeper levels cannot panic.
+            if i > 0 {
+                in_level.retain(|e| level_hash.level(space.rank(e), cfg.levels - 1) >= i);
+            }
+            per_level.push(LightRecoverySketch::try_player_message(
+                space,
+                cfg.k,
+                v,
+                &in_level,
+                &seeds.child(1).child(i as u64),
+                cfg.forest,
+            )?);
+        }
+        Ok(SparsifierPlayerMessage {
             vertex: v,
             per_level,
-        }
+        })
     }
 
-    /// The referee's assembly step for one player.
-    pub fn install_player(&mut self, message: SparsifierPlayerMessage) {
-        assert_eq!(message.per_level.len(), self.cfg.levels);
-        for (level, msgs) in self.levels.iter_mut().zip(message.per_level) {
-            level.install_player(msgs);
+    /// The referee's assembly step for one player; a message with the wrong
+    /// level count or a malformed level is [`SketchError::InvalidInput`].
+    pub fn try_install_player(&mut self, message: SparsifierPlayerMessage) -> SketchResult<()> {
+        if message.per_level.len() != self.cfg.levels {
+            return Err(SketchError::invalid(format!(
+                "player message carries {} levels, sparsifier has {}",
+                message.per_level.len(),
+                self.cfg.levels
+            )));
         }
+        for (level, msgs) in self.levels.iter_mut().zip(message.per_level) {
+            level.try_install_player(msgs)?;
+        }
+        Ok(())
     }
 }
 
@@ -383,7 +372,7 @@ mod tests {
         let cfg = SparsifierConfig::explicit(k, levels, forest);
         let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(808).child(label));
         for e in h.edges() {
-            sp.update(e, 1);
+            sp.try_update(e, 1).unwrap();
         }
         sp
     }
@@ -413,7 +402,7 @@ mod tests {
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]);
         let h = Hypergraph::from_graph(&g);
         let sp = build(&h, 2, 6, 1);
-        let res = sp.decode();
+        let res = sp.try_decode().unwrap();
         assert!(res.complete);
         assert_eq!(res.per_level[0], 7);
         assert_eq!(res.sparsifier.edge_count(), 7);
@@ -431,7 +420,7 @@ mod tests {
         let mut errors = Vec::new();
         for (i, k) in [4usize, 12].into_iter().enumerate() {
             let sp = build(&h, k, 8, 2 + i as u64);
-            let res = sp.decode();
+            let res = sp.try_decode().unwrap();
             assert!(
                 res.complete,
                 "k = {k}: levels exhausted: {:?}",
@@ -451,7 +440,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let h = random_uniform_hypergraph(10, 3, 40, &mut rng);
         let sp = build(&h, 5, 8, 3);
-        let res = sp.decode();
+        let res = sp.try_decode().unwrap();
         assert!(res.complete);
         let err = max_cut_error(&h, &res.sparsifier);
         assert!(err < 0.9, "max relative cut error {err}");
@@ -465,7 +454,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let (h, side) = planted_hyper_cut(6, 6, 3, 14, 2, &mut rng);
         let sp = build(&h, 4, 8, 4);
-        let res = sp.decode();
+        let res = sp.try_decode().unwrap();
         assert!(res.complete);
         assert_eq!(res.sparsifier.cut_weight(&side), 2.0);
     }
@@ -484,18 +473,18 @@ mod tests {
         let noise = gnp(10, 0.6, &mut rng);
         for (u, v) in noise.edges() {
             if !g.has_edge(u, v) {
-                sp.update(&HyperEdge::pair(u, v), 1);
+                sp.try_update(&HyperEdge::pair(u, v), 1).unwrap();
             }
         }
         for e in h.edges() {
-            sp.update(e, 1);
+            sp.try_update(e, 1).unwrap();
         }
         for (u, v) in noise.edges() {
             if !g.has_edge(u, v) {
-                sp.update(&HyperEdge::pair(u, v), -1);
+                sp.try_update(&HyperEdge::pair(u, v), -1).unwrap();
             }
         }
-        let res = sp.decode();
+        let res = sp.try_decode().unwrap();
         assert!(res.complete);
         for (e, _) in res.sparsifier.iter() {
             assert!(h.has_edge(e), "noise edge {e:?} leaked into sparsifier");
@@ -513,7 +502,7 @@ mod tests {
         let g = gnp(11, 0.7, &mut rng);
         let h = Hypergraph::from_graph(&g);
         let sp = build(&h, 6, 8, 6);
-        let res = sp.decode();
+        let res = sp.try_decode().unwrap();
         assert!(res.complete);
         let ratio = res.sparsifier.total_weight() / h.edge_count() as f64;
         assert!((0.4..2.5).contains(&ratio), "total weight ratio {ratio}");
@@ -546,5 +535,32 @@ mod tests {
         let tight = SparsifierConfig::for_epsilon(64, 2, 0.1, 0.5, Profile::Practical);
         assert!(tight.k > loose.k * 10, "k must scale as ε^-2");
         assert_eq!(loose.levels, tight.levels);
+    }
+
+    #[test]
+    fn caller_input_is_a_typed_error_not_a_panic() {
+        let space = EdgeSpace::graph(6).unwrap();
+        let forest = ForestParams::new(Profile::Practical, space.dimension());
+        let cfg = SparsifierConfig::explicit(2, 4, forest);
+        let seeds = SeedTree::new(809);
+        let mut sp = HypergraphSparsifier::new(space.clone(), cfg, &seeds);
+        let invalid = |r: SketchResult<()>| matches!(r, Err(SketchError::InvalidInput { .. }));
+        // Out-of-range vertex and rank overflow are rejected before ranking.
+        assert!(invalid(sp.try_update(&HyperEdge::pair(0, 9), 1)));
+        assert!(invalid(
+            sp.try_update(&HyperEdge::new(vec![0, 1, 2]).unwrap(), 1)
+        ));
+        let other = SparsifierConfig::explicit(3, 4, forest);
+        let peer = HypergraphSparsifier::new(space.clone(), other, &seeds);
+        assert!(invalid(sp.try_add_assign_sketch(&peer)));
+        let foreign = [HyperEdge::pair(1, 2)];
+        assert!(matches!(
+            HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, 0, &foreign),
+            Err(SketchError::InvalidInput { .. })
+        ));
+        let mut msg =
+            HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, 0, &[]).unwrap();
+        msg.per_level.pop();
+        assert!(invalid(sp.try_install_player(msg)));
     }
 }

@@ -101,7 +101,7 @@ impl std::fmt::Display for ShardState {
 
 /// Per-repetition decode failure probability δ with which supervised
 /// answers *report* `effective_delta = δ^R′`; answers never depend on it.
-const DELTA: f64 = 0.5;
+pub(crate) const DELTA: f64 = 0.5;
 
 /// Supervision policy. Defaults are sized for the test/experiment scale;
 /// production tunes per deployment.
@@ -1264,39 +1264,15 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         Ok(())
     }
 
-    /// Answers a query from the live ensemble under `budget`, stopping at
-    /// the first repetition that decodes (the paper's boosting order).
-    /// Buffered updates are flushed first so the answer reflects every
-    /// pushed update.
+    /// Answers a query from the live ensemble under `budget`, resolved by
+    /// `policy`: [`QueryPolicy::FirstSuccess`] stops at the first
+    /// repetition that decodes (the paper's boosting order);
+    /// [`QueryPolicy::Majority`] consults every live repetition and takes
+    /// the majority value — slower, but the only query-side defense against
+    /// a silently diverged shard (outvoted shards accrue decode incidents
+    /// and are eventually quarantined). Buffered updates are flushed first
+    /// so the answer reflects every pushed update.
     pub fn query<T, F>(
-        &mut self,
-        budget: &QueryBudget,
-        decode: F,
-    ) -> Result<SupervisedAnswer<T>, RecoveryError>
-    where
-        T: Clone + PartialEq,
-        F: Fn(usize, &S) -> SketchResult<T>,
-    {
-        self.query_with_policy(budget, QueryPolicy::FirstSuccess, decode)
-    }
-
-    /// [`query`](Self::query) with every live repetition consulted and the
-    /// majority value taken — slower, but the only query-side defense
-    /// against a silently diverged shard (outvoted shards accrue decode
-    /// incidents and are eventually quarantined).
-    pub fn query_majority<T, F>(
-        &mut self,
-        budget: &QueryBudget,
-        decode: F,
-    ) -> Result<SupervisedAnswer<T>, RecoveryError>
-    where
-        T: Clone + PartialEq,
-        F: Fn(usize, &S) -> SketchResult<T>,
-    {
-        self.query_with_policy(budget, QueryPolicy::Majority, decode)
-    }
-
-    fn query_with_policy<T, F>(
         &mut self,
         budget: &QueryBudget,
         policy: QueryPolicy,
@@ -1796,9 +1772,11 @@ mod tests {
         sup.flush().unwrap();
         assert_eq!(sup.live_repetitions(), 2);
         let answer = sup
-            .query(&QueryBudget::default(), |_, s: &SpanningForestSketch| {
-                s.try_component_count()
-            })
+            .query(
+                &QueryBudget::default(),
+                QueryPolicy::FirstSuccess,
+                |_, s: &SpanningForestSketch| s.try_component_count(),
+            )
             .unwrap();
         match answer {
             SupervisedAnswer::Degraded {
@@ -1841,6 +1819,7 @@ mod tests {
             let _ = sup
                 .query(
                     &QueryBudget::default(),
+                    QueryPolicy::FirstSuccess,
                     |shard, s: &SpanningForestSketch| {
                         if shard == 0 {
                             Err(SketchError::failure("stub", "decode stall"))

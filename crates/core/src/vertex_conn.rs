@@ -144,9 +144,11 @@ impl VertexConnSketch {
         &self.space
     }
 
-    /// Fallible signed hyperedge update. Malformed elements (out-of-range
-    /// vertex, rank violation) surface as [`SketchError::InvalidInput`]
-    /// before any subgraph sketch is touched.
+    /// Signed hyperedge update. The edge enters exactly the subgraphs
+    /// containing *all* of its vertices (expected `R/k^|e|` of them, so a
+    /// stream update is cheap). Malformed elements (out-of-range vertex,
+    /// rank violation) surface as [`SketchError::InvalidInput`] before any
+    /// subgraph sketch is touched.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
         if e.cardinality() > self.space.max_rank() {
@@ -178,20 +180,9 @@ impl VertexConnSketch {
         Ok(())
     }
 
-    /// Applies a signed hyperedge update. The edge enters exactly the
-    /// subgraphs containing *all* of its vertices (expected `R/k^|e|` of
-    /// them, so a stream update is cheap).
-    ///
-    /// # Panics
-    /// Panics on a malformed edge; see [`try_update`](Self::try_update).
-    pub fn update(&mut self, e: &HyperEdge, delta: i64) {
-        if let Err(err) = self.try_update(e, delta) {
-            panic!("{err}");
-        }
-    }
-
-    /// Fallible certificate decode: every subgraph's Borůvka pass must
-    /// certify completeness, otherwise the union `H` could be missing
+    /// Decodes every subgraph's spanning forest and returns the union
+    /// `H = T_1 ∪ … ∪ T_R` as a query certificate. Every subgraph's Borůvka
+    /// pass must certify completeness, otherwise the union `H` could be missing
     /// forest edges and the removal query could report a spurious
     /// disconnection — propagated as [`SketchError::SketchFailure`]
     /// (retryable against an independent repetition) instead.
@@ -239,20 +230,7 @@ impl VertexConnSketch {
         Ok(VertexConnCertificate { union: h })
     }
 
-    /// Decodes every subgraph's spanning forest and returns the union
-    /// `H = T_1 ∪ … ∪ T_R` as a query certificate.
-    ///
-    /// # Panics
-    /// Panics if a subgraph decode cannot be certified; see
-    /// [`try_certificate`](Self::try_certificate).
-    pub fn certificate(&self) -> VertexConnCertificate {
-        match self.try_certificate() {
-            Ok(cert) => cert,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible cell-wise sum with a same-seeded sketch.
+    /// Cell-wise sum with a same-seeded sketch (sharded ingestion).
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_add_assign_sketch(&mut self, rhs: &VertexConnSketch) -> SketchResult<()> {
         if self.cfg.subgraphs != rhs.cfg.subgraphs {
@@ -265,16 +243,6 @@ impl VertexConnSketch {
             a.try_add_assign_sketch(b)?;
         }
         Ok(())
-    }
-
-    /// Cell-wise sum with a same-seeded sketch (sharded ingestion).
-    ///
-    /// # Panics
-    /// Panics on shape/seed mismatch; in-process shard merges always agree.
-    pub fn add_assign_sketch(&mut self, rhs: &VertexConnSketch) {
-        if let Err(err) = self.try_add_assign_sketch(rhs) {
-            panic!("{err}");
-        }
     }
 
     /// Attach metric handles to every subgraph sketch (forest decode
@@ -302,16 +270,20 @@ impl VertexConnSketch {
     /// subgraph's vertex sample from the public seeds, keeps a sampler
     /// state for each subgraph containing `v`, and applies exactly the
     /// incident edges whose endpoints all survive that subgraph's sample.
-    pub fn player_message(
+    /// An edge not incident to `v`, or malformed for the space, is
+    /// [`SketchError::InvalidInput`].
+    pub fn try_player_message(
         space: &EdgeSpace,
         cfg: &VertexConnConfig,
         seeds: &SeedTree,
         v: VertexId,
         incident_edges: &[HyperEdge],
-    ) -> VertexConnPlayerMessage {
+    ) -> SketchResult<VertexConnPlayerMessage> {
         let n = space.n();
-        for e in incident_edges {
-            assert!(e.contains(v), "edge {e:?} not incident to player {v}");
+        if let Some(e) = incident_edges.iter().find(|e| !e.contains(v)) {
+            return Err(SketchError::invalid(format!(
+                "edge {e:?} not incident to player {v}"
+            )));
         }
         let mut per_subgraph = Vec::new();
         for i in 0..cfg.subgraphs {
@@ -331,21 +303,21 @@ impl VertexConnSketch {
                     .iter()
                     .all(|&x| sampled.binary_search(&x).is_ok())
                 {
-                    msg.apply(space, e, 1);
+                    msg.try_apply(space, e, 1)?;
                 }
             }
             per_subgraph.push((i as u32, msg));
         }
-        VertexConnPlayerMessage {
+        Ok(VertexConnPlayerMessage {
             vertex: v,
             per_subgraph,
-        }
+        })
     }
 
-    /// Fallible referee assembly: validates every per-subgraph entry (index
-    /// range, vertex presence, sampler shape/seed) before installing it, so
-    /// a corrupted or misrouted message surfaces as
-    /// [`SketchError::InvalidInput`].
+    /// The referee's assembly step: validates every per-subgraph entry
+    /// (index range, vertex presence, sampler shape/seed) before installing
+    /// it into this (zero-initialized, same-seeded) sketch, so a corrupted
+    /// or misrouted message surfaces as [`SketchError::InvalidInput`].
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_install_player(&mut self, message: VertexConnPlayerMessage) -> SketchResult<()> {
         for (i, _) in &message.per_subgraph {
@@ -360,18 +332,6 @@ impl VertexConnSketch {
             self.subgraphs[i as usize].try_set_vertex_samplers(msg.vertex, msg.samplers)?;
         }
         Ok(())
-    }
-
-    /// The referee's assembly step: installs a player's per-subgraph
-    /// sampler states into this (zero-initialized, same-seeded) sketch.
-    ///
-    /// # Panics
-    /// Panics on a malformed message; see
-    /// [`try_install_player`](Self::try_install_player).
-    pub fn install_player(&mut self, message: VertexConnPlayerMessage) {
-        if let Err(err) = self.try_install_player(message) {
-            panic!("{err}");
-        }
     }
 }
 
@@ -500,7 +460,7 @@ mod tests {
 
     fn load(sk: &mut VertexConnSketch, g: &Graph) {
         for (u, v) in g.edges() {
-            sk.update(&HyperEdge::pair(u, v), 1);
+            sk.try_update(&HyperEdge::pair(u, v), 1).unwrap();
         }
     }
 
@@ -535,7 +495,7 @@ mod tests {
         // κ(G) = 2: removing the separator disconnects; nothing smaller does.
         let g = planted_separator(5, 5, 2);
         let sk = sketch_for(&g, 2, 3.0, 1);
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         let sep: Vec<u32> = vec![5, 6];
         assert!(cert.disconnects(&sep), "separator removal not detected");
         // Non-separating pairs agree with ground truth.
@@ -565,10 +525,10 @@ mod tests {
         load(&mut sk, &full);
         for (u, v) in full.edges() {
             if !g.has_edge(u, v) {
-                sk.update(&HyperEdge::pair(u, v), -1);
+                sk.try_update(&HyperEdge::pair(u, v), -1).unwrap();
             }
         }
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         assert!(cert.disconnects(&[4, 5]));
         assert!(!cert.disconnects(&[0]));
         // Every retained edge is a real edge of the final graph.
@@ -587,7 +547,7 @@ mod tests {
         let cfg = VertexConnConfig::estimator(4, g.n(), 0.5, 8.0, Profile::Practical);
         let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(321));
         load(&mut sk, &g);
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         let est = cert.vertex_connectivity(10);
         assert!(est <= vertex_connectivity(&g), "κ(H) = {est} exceeds κ(G)");
         assert!(est >= 4, "κ(H) = {est} too small for a 6-connected input");
@@ -601,7 +561,7 @@ mod tests {
             g.add_edge(i, i + 1);
         }
         let sk = sketch_for(&g, 3, 4.0, 9);
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         assert!(cert.vertex_connectivity(10) <= 1);
     }
 
@@ -620,9 +580,9 @@ mod tests {
         let cfg = VertexConnConfig::query(1, 5, 4.0, Profile::Practical);
         let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(555));
         for e in h.edges() {
-            sk.update(e, 1);
+            sk.try_update(e, 1).unwrap();
         }
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         assert!(cert.disconnects(&[2]));
         assert!(!cert.disconnects(&[0]));
     }
@@ -659,7 +619,7 @@ mod tests {
 
         let mut central = VertexConnSketch::new(space.clone(), cfg, &seeds);
         for e in h.edges() {
-            central.update(e, 1);
+            central.try_update(e, 1).unwrap();
         }
 
         let mut assembled = VertexConnSketch::new(space.clone(), cfg, &seeds);
@@ -671,13 +631,17 @@ mod tests {
                 .filter(|e| e.contains(v))
                 .cloned()
                 .collect();
-            let msg = VertexConnSketch::player_message(&space, &cfg, &seeds, v, &incident);
+            let msg =
+                VertexConnSketch::try_player_message(&space, &cfg, &seeds, v, &incident).unwrap();
             assert_eq!(msg.vertex, v);
             total_msg += msg.size_bytes();
-            assembled.install_player(msg);
+            assembled.try_install_player(msg).unwrap();
         }
         // Bit-identical states => identical certificates.
-        let (c1, c2) = (central.certificate(), assembled.certificate());
+        let (c1, c2) = (
+            central.try_certificate().unwrap(),
+            assembled.try_certificate().unwrap(),
+        );
         assert_eq!(c1.union.edges(), c2.union.edges());
         assert!(c2.disconnects(&[4, 5]));
         assert_eq!(total_msg, central.size_bytes());
@@ -726,7 +690,7 @@ mod tests {
                 &seeds.child2(1, i as u64),
                 cfg.forest,
             );
-            msg.apply(&space, &HyperEdge::pair(v, x), 1);
+            msg.try_apply(&space, &HyperEdge::pair(v, x), 1).unwrap();
             sk.subgraphs[i]
                 .try_set_vertex_samplers(v, msg.samplers)
                 .unwrap();

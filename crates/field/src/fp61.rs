@@ -173,7 +173,7 @@ impl Fp {
     ///
     /// Runs the explicit [`LANES`]-wide kernel: each block widens to
     /// `u128`, folds with the branch-free Mersenne reduction
-    /// ([`canon61`]), and carries no data dependence between lanes — the
+    /// (`canon61`), and carries no data dependence between lanes — the
     /// compiler keeps all four product/fold chains in flight (and can
     /// vectorize the fold arithmetic), which the branchy
     /// call-per-element loop does not achieve. Results are exactly
@@ -217,7 +217,7 @@ impl Fp {
     /// Element-wise in-place sum `out[i] = out[i] + rhs[i]`.
     ///
     /// Same lane discipline as [`Fp::mul_batch`]: four independent
-    /// add-and-[`canon61`] chains per block, no branches. Results are
+    /// add-and-`canon61` chains per block, no branches. Results are
     /// exactly [`Fp::add`] per lane ([`Fp::add_batch_scalar`] is the
     /// oracle).
     ///
@@ -256,7 +256,7 @@ impl Fp {
     ///
     /// The lane kernel rewrites subtraction as `a + (P - b)` — for
     /// canonical `b < P` the offset lands in `(0, P]`, the sum stays below
-    /// `2P`, and one [`canon61`] finishes — so the whole block is
+    /// `2P`, and one `canon61` finishes — so the whole block is
     /// branch-free like the add kernel. Results are exactly [`Fp::sub`]
     /// per lane ([`Fp::sub_batch_scalar`] is the oracle).
     ///

@@ -432,7 +432,7 @@ impl SparseRecovery {
     /// baseline the optimized decode paths are benchmarked against (E19)
     /// and tested equivalent to: a fresh `Vec<OneSparse>` per call, and a
     /// Fermat inversion (`Fp::inv`, a ~61-step exponentiation) per nonzero
-    /// cell per pass via [`OneSparse::decode`], where [`peel`](Self::peel)
+    /// cell per pass via [`OneSparse::decode`], where `peel`
     /// batches the pass's inversions. Inverses in a field are unique and
     /// the first-verifying-cell choice rule is the same, so the recovered
     /// support is bit-identical to [`decode`](Self::decode).

@@ -21,7 +21,7 @@
 //! ## Recording
 //!
 //! Completed spans are recorded into **per-thread seqlock ring buffers**
-//! (see [`ring`]): the owning thread writes lock-free and allocation-free;
+//! (the private `ring` module): the owning thread writes lock-free and allocation-free;
 //! [`Tracer::snapshot`] reads all rings from any thread, detecting (not
 //! absorbing) torn slots and counting wraparound evictions. A
 //! [`TraceSnapshot`] reconstructs span trees, finds orphans, and computes

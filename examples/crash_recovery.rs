@@ -119,7 +119,9 @@ fn main() {
     // --- Equivalence with a run that never crashed ------------------------
     let mut uninterrupted = fresh_sketch(n);
     for u in &stream.updates {
-        uninterrupted.update(&u.edge, u.op.delta());
+        uninterrupted
+            .try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
     let a = recovered.sketches()[0].try_component_count();
     let b = uninterrupted.try_component_count();

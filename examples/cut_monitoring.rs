@@ -31,9 +31,12 @@ fn main() {
         &mut rng,
     );
     for u in &stream.updates {
-        ec.update(&u.edge, u.op.delta());
+        ec.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
-    let (lambda, side) = ec.edge_connectivity();
+    let (lambda, side) = ec
+        .try_edge_connectivity()
+        .expect("skeleton decode certifies");
     println!(
         "edge-connectivity sketch ({} bytes): min(λ, {k}) = {lambda}",
         ec.size_bytes()
@@ -43,7 +46,11 @@ fn main() {
         side.iter().filter(|&&b| b).count(),
         h.cut_size(&side)
     );
-    println!("k-edge-connected for k = {k}? {}", ec.is_k_edge_connected());
+    println!(
+        "k-edge-connected for k = {k}? {}",
+        ec.try_is_k_edge_connected()
+            .expect("skeleton decode certifies")
+    );
 
     // --- Bipartiteness of an interaction graph ---------------------------
     // A user-item interaction graph should be bipartite; a glitch inserts a
@@ -58,21 +65,30 @@ fn main() {
     );
     let mut bp = BipartitenessSketch::new(nb, &SeedTree::new(2), params_b);
     for (u, v) in gb.edges() {
-        bp.update(u, v, 1);
+        bp.try_update(u, v, 1)
+            .expect("stream edges lie in the sketch's space");
     }
-    println!("\ninteraction graph: bipartite = {}", bp.is_bipartite());
+    println!(
+        "\ninteraction graph: bipartite = {}",
+        bp.try_is_bipartite().expect("forest decodes certify")
+    );
 
     // The glitch: a user-user edge that closes an odd cycle via two items...
     // any user-user edge between users sharing an item does.
-    bp.update(0, 1, 1);
-    let after_glitch = bp.is_bipartite();
+    bp.try_update(0, 1, 1)
+        .expect("stream edges lie in the sketch's space");
+    let after_glitch = bp.try_is_bipartite().expect("forest decodes certify");
     println!("after glitch edge (user0, user1): bipartite = {after_glitch}");
 
-    bp.update(0, 1, -1);
-    println!("after rollback: bipartite = {}", bp.is_bipartite());
+    bp.try_update(0, 1, -1)
+        .expect("stream edges lie in the sketch's space");
+    println!(
+        "after rollback: bipartite = {}",
+        bp.try_is_bipartite().expect("forest decodes certify")
+    );
     println!(
         "odd components now: {} (sketch size {} bytes)",
-        bp.odd_components(),
+        bp.try_odd_components().expect("forest decodes certify"),
         bp.size_bytes()
     );
 }

@@ -41,7 +41,8 @@ fn main() {
             .filter(|e| e.contains(v))
             .cloned()
             .collect();
-        let msg = player_sketch(&space, v, &incident, &public_seed, params);
+        let msg = try_player_sketch(&space, v, &incident, &public_seed, params)
+            .expect("player edges are incident to the player");
         max_msg = max_msg.max(msg.size_bytes());
         messages.push(msg);
     }
@@ -53,8 +54,11 @@ fn main() {
     );
 
     // The referee reassembles and decodes.
-    let referee = assemble_players(&space, messages, &public_seed, params);
-    let (spanning, labels) = referee.decode_with_labels();
+    let referee = try_assemble_players(&space, messages, &public_seed, params)
+        .expect("player messages match the sketch");
+    let (spanning, labels) = referee
+        .try_decode_with_labels()
+        .expect("forest decode certifies");
     println!(
         "referee: decoded spanning structure with {} hyperedges, {} components",
         spanning.len(),
@@ -64,8 +68,13 @@ fn main() {
     // Sanity: identical to the centralized sketch.
     let mut central = SpanningForestSketch::new_full(space, &public_seed, params);
     for e in h.edges() {
-        central.update(e, 1);
+        central
+            .try_update(e, 1)
+            .expect("stream edges lie in the sketch's space");
     }
-    assert_eq!(central.decode(), spanning);
+    assert_eq!(
+        central.try_decode().expect("forest decode certifies"),
+        spanning
+    );
     println!("referee's decode == centralized decode (bit-identical sketch states)");
 }

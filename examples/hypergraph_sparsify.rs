@@ -50,9 +50,10 @@ fn main() {
     );
     let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(0xCAFE));
     for u in &stream.updates {
-        sp.update(&u.edge, u.op.delta());
+        sp.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
-    let res = sp.decode();
+    let res = sp.try_decode().expect("sparsifier decode certifies");
     println!(
         "sparsifier: {} weighted hyperedges (complete = {}), per-level {:?}",
         res.sparsifier.edge_count(),

@@ -47,7 +47,9 @@ fn main() {
     let cfg = VertexConnConfig::query(k, n, 2.0, Profile::Practical);
     let mut sketch = VertexConnSketch::new(space, cfg, &SeedTree::new(0xBEEF));
     for u in &stream.updates {
-        sketch.update(&u.edge, u.op.delta());
+        sketch
+            .try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
     println!(
         "sketch: {} bytes, {} sampled subgraphs\n",
@@ -56,7 +58,9 @@ fn main() {
     );
 
     // Post-churn audit: decode once, then scan all router pairs.
-    let cert = sketch.certificate();
+    let cert = sketch
+        .try_certificate()
+        .expect("certificate decode certifies");
     println!(
         "auditing all {} router pairs for 2-cuts...",
         n * (n - 1) / 2

@@ -41,14 +41,16 @@ fn main() {
     let params = ForestParams::new(Profile::Practical, space.dimension());
     let mut forest = SpanningForestSketch::new_full(space.clone(), &SeedTree::new(1), params);
     for u in &stream.updates {
-        forest.update(&u.edge, u.op.delta());
+        forest
+            .try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
-    let tree = forest.decode();
+    let tree = forest.try_decode().expect("forest decode certifies");
     println!(
         "forest sketch: {} bytes, decoded {} tree edges, connected = {}",
         forest.size_bytes(),
         tree.len(),
-        forest.is_connected()
+        forest.try_is_connected().expect("forest decode certifies")
     );
 
     // --- Sketch 2: vertex-connectivity queries (Theorem 4) ----------------
@@ -58,9 +60,10 @@ fn main() {
     let cfg = VertexConnConfig::query(k, n, 2.0, Profile::Practical);
     let mut vc = VertexConnSketch::new(space, cfg, &SeedTree::new(2));
     for u in &stream.updates {
-        vc.update(&u.edge, u.op.delta());
+        vc.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
-    let cert = vc.certificate();
+    let cert = vc.try_certificate().expect("certificate decode certifies");
     let cut = [0u32, 4, 6]; // hub + the two cycle neighbors of vertex 5
     println!(
         "vertex-conn sketch: {} bytes (R = {} subgraphs)",

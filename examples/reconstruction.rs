@@ -21,10 +21,11 @@ fn reconstruct_and_report(name: &str, h: &Hypergraph, k: usize, seed: u64) {
         &mut rng,
     );
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        sk.try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
 
-    match sk.reconstruct() {
+    match sk.try_reconstruct().expect("light_k peel certifies") {
         Some(rec) => {
             let exact =
                 rec.edge_count() == h.edge_count() && h.edges().iter().all(|e| rec.has_edge(e));
@@ -36,7 +37,7 @@ fn reconstruct_and_report(name: &str, h: &Hypergraph, k: usize, seed: u64) {
             );
         }
         None => {
-            let rec = sk.recover();
+            let rec = sk.try_recover().expect("light_k peel certifies");
             println!(
                 "{name:>18}: NOT {k}-cut-degenerate — recovered light_{k} = {} of {} edges",
                 rec.edge_count(),

@@ -125,9 +125,11 @@ fn main() {
 
     // --- Queries: majority vote, deadline-bounded, never wrong ------------
     let answer = sup
-        .query_majority(&budget, |_, s: &SpanningForestSketch| {
-            s.try_component_count()
-        })
+        .query(
+            &budget,
+            QueryPolicy::Majority,
+            |_, s: &SpanningForestSketch| s.try_component_count(),
+        )
         .expect("query");
     let mut reference = {
         let space = EdgeSpace::graph(n).unwrap();
@@ -135,7 +137,9 @@ fn main() {
         SpanningForestSketch::new_full(space, &SeedTree::new(9), params)
     };
     for u in &stream.updates {
-        reference.update(&u.edge, u.op.delta());
+        reference
+            .try_update(&u.edge, u.op.delta())
+            .expect("stream edges lie in the sketch's space");
     }
     let truth = reference.try_component_count().ok();
     match answer {

@@ -64,6 +64,14 @@ impl Args {
             .unwrap_or(default)
     }
 
+    /// A count flag that the sketch constructors require to be at least 1.
+    fn positive_or(&self, name: &str, default: usize) -> usize {
+        match self.usize_or(name, default) {
+            0 => die(&format!("--{name} must be at least 1")),
+            v => v,
+        }
+    }
+
     fn f64_or(&self, name: &str, default: f64) -> f64 {
         self.get(name)
             .map(|v| {
@@ -77,6 +85,11 @@ impl Args {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+/// The value of a sketch operation, or its typed error through [`die`].
+fn or_die<T>(result: SketchResult<T>) -> T {
+    result.unwrap_or_else(|e| die(&e.to_string()))
 }
 
 fn load_stream(args: &Args) -> UpdateStream {
@@ -131,7 +144,7 @@ fn cmd_connectivity(args: &Args) {
         }
     };
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        or_die(sk.try_update(&u.edge, u.op.delta()));
     }
     if let Some(path) = args.get("save") {
         let mut w = Writer::new();
@@ -140,7 +153,7 @@ fn cmd_connectivity(args: &Args) {
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         println!("checkpoint written to {path}");
     }
-    let (edges, labels) = sk.decode_with_labels();
+    let (edges, labels) = or_die(sk.try_decode_with_labels());
     println!("updates processed: {}", stream.len());
     println!("sketch bytes: {}", sk.size_bytes());
     println!("components (whp): {}", labels.component_count());
@@ -163,24 +176,26 @@ fn cmd_bipartite(args: &Args) {
     );
     let mut sk = BipartitenessSketch::new(n, &seed(args), params);
     for u in &stream.updates {
-        let (a, b) = u.edge.as_pair();
-        sk.update(a, b, u.op.delta());
+        let &[a, b] = u.edge.vertices() else {
+            die("bipartiteness is a graph (rank-2) query");
+        };
+        or_die(sk.try_update(a, b, u.op.delta()));
     }
-    println!("bipartite (whp): {}", sk.is_bipartite());
-    println!("odd components (whp): {}", sk.odd_components());
+    println!("bipartite (whp): {}", or_die(sk.try_is_bipartite()));
+    println!("odd components (whp): {}", or_die(sk.try_odd_components()));
     println!("sketch bytes: {}", sk.size_bytes());
 }
 
 fn cmd_edge_conn(args: &Args) {
     let stream = load_stream(args);
-    let k = args.usize_or("k", 3);
+    let k = args.positive_or("k", 3);
     let space = EdgeSpace::new(stream.n.max(2), stream.max_rank.max(2))
         .unwrap_or_else(|e| die(&format!("{e}")));
     let mut sk = EdgeConnSketch::new(space.clone(), k, &seed(args), forest_params(&space));
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        or_die(sk.try_update(&u.edge, u.op.delta()));
     }
-    let (lambda, side) = sk.edge_connectivity();
+    let (lambda, side) = or_die(sk.try_edge_connectivity());
     println!("min(λ, {k}) (whp): {lambda}");
     println!("k-edge-connected for k = {k}: {}", lambda >= k);
     if lambda < k {
@@ -197,21 +212,21 @@ fn cmd_edge_conn(args: &Args) {
 
 fn cmd_vertex_conn(args: &Args) {
     let stream = load_stream(args);
-    let k = args.usize_or("k", 2);
+    let k = args.positive_or("k", 2);
     let mult = args.f64_or("mult", 2.0);
     let space = EdgeSpace::new(stream.n.max(2), stream.max_rank.max(2))
         .unwrap_or_else(|e| die(&format!("{e}")));
     let cfg = VertexConnConfig::query(k, stream.n, mult, Profile::Practical);
     let mut sk = VertexConnSketch::new(space, cfg, &seed(args));
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        or_die(sk.try_update(&u.edge, u.op.delta()));
     }
     println!(
         "sketch: {} bytes, {} subsampled subgraphs",
         sk.size_bytes(),
         sk.config().subgraphs
     );
-    let cert = sk.certificate();
+    let cert = or_die(sk.try_certificate());
     if let Some(q) = args.get("query") {
         let set: Vec<u32> = q
             .split(',')
@@ -221,6 +236,12 @@ fn cmd_vertex_conn(args: &Args) {
                     .unwrap_or_else(|_| die("--query wants v1,v2,..."))
             })
             .collect();
+        if let Some(v) = set.iter().find(|&&v| v as usize >= stream.n) {
+            die(&format!(
+                "--query vertex {v} is not among the {} vertices",
+                stream.n
+            ));
+        }
         if set.len() > k {
             eprintln!(
                 "warning: |S| = {} exceeds k = {k}; answer unreliable",
@@ -242,33 +263,27 @@ fn cmd_vertex_conn(args: &Args) {
 
 fn cmd_reconstruct(args: &Args) {
     let stream = load_stream(args);
-    let k = args.usize_or("k", 2);
+    let k = args.positive_or("k", 2);
     let space = EdgeSpace::new(stream.n.max(2), stream.max_rank.max(2))
         .unwrap_or_else(|e| die(&format!("{e}")));
     let mut sk = LightRecoverySketch::new(space.clone(), k, &seed(args), forest_params(&space));
     for u in &stream.updates {
-        sk.update(&u.edge, u.op.delta());
+        or_die(sk.try_update(&u.edge, u.op.delta()));
     }
-    match sk.reconstruct() {
-        Some(h) => {
-            println!(
-                "reconstructed {} hyperedges ({k}-cut-degenerate input):",
-                h.edge_count()
-            );
-            for e in h.edges() {
-                println!("  {:?}", e.vertices());
-            }
-        }
-        None => {
-            let rec = sk.recover();
-            println!(
-                "input is not {k}-cut-degenerate; recovered light_{k} = {} hyperedges:",
-                rec.edge_count()
-            );
-            for e in rec.edges() {
-                println!("  {:?}", e.vertices());
-            }
-        }
+    let rec = or_die(sk.try_recover());
+    if rec.complete {
+        println!(
+            "reconstructed {} hyperedges ({k}-cut-degenerate input):",
+            rec.edge_count()
+        );
+    } else {
+        println!(
+            "input is not {k}-cut-degenerate; recovered light_{k} = {} hyperedges:",
+            rec.edge_count()
+        );
+    }
+    for e in rec.edges() {
+        println!("  {:?}", e.vertices());
     }
     println!(
         "per-player message bytes: {}",
@@ -278,16 +293,16 @@ fn cmd_reconstruct(args: &Args) {
 
 fn cmd_sparsify(args: &Args) {
     let stream = load_stream(args);
-    let k = args.usize_or("k", 4);
-    let levels = args.usize_or("levels", 8);
+    let k = args.positive_or("k", 4);
+    let levels = args.positive_or("levels", 8);
     let space = EdgeSpace::new(stream.n.max(2), stream.max_rank.max(2))
         .unwrap_or_else(|e| die(&format!("{e}")));
     let cfg = SparsifierConfig::explicit(k, levels, forest_params(&space));
     let mut sp = HypergraphSparsifier::new(space, cfg, &seed(args));
     for u in &stream.updates {
-        sp.update(&u.edge, u.op.delta());
+        or_die(sp.try_update(&u.edge, u.op.delta()));
     }
-    let res = sp.decode();
+    let res = or_die(sp.try_decode());
     println!(
         "sparsifier: {} weighted hyperedges (complete = {}), per-level {:?}",
         res.sparsifier.edge_count(),

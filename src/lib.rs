@@ -30,10 +30,12 @@
 //! let params = ForestParams::new(Profile::Practical, space.dimension());
 //! let mut sketch = SpanningForestSketch::new_full(space, &SeedTree::new(42), params);
 //! for (u, v) in [(0, 1), (1, 2), (0, 2)] {
-//!     sketch.update(&HyperEdge::pair(u, v), 1);
+//!     sketch.try_update(&HyperEdge::pair(u, v), 1)?;
 //! }
-//! sketch.update(&HyperEdge::pair(0, 2), -1);
-//! assert!(sketch.is_connected());
+//! sketch.try_update(&HyperEdge::pair(0, 2), -1)?;
+//! // A decode certifies its answer or fails with a typed, retryable error.
+//! assert!(sketch.try_is_connected()?);
+//! # Ok::<(), SketchError>(())
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and DESIGN.md / EXPERIMENTS.md
@@ -50,17 +52,17 @@ pub use dgs_sketch as sketch;
 pub mod prelude {
     pub use dgs_baselines::{benczur_karger_sparsifier, EppsteinCertificate, StoreAll};
     pub use dgs_connectivity::{
-        assemble_players, assemble_players_strict, player_sketch, DecodeScratch, ForestParams,
-        KSkeletonSketch, SpanningForestSketch,
+        assemble_players_strict, try_assemble_players, try_player_sketch, DecodeScratch,
+        ForestParams, KSkeletonSketch, SpanningForestSketch,
     };
     pub use dgs_core::{
         BoostedQuery, BreakerConfig, BrownoutConfig, CheckpointConfig, CheckpointStore,
         ConnectivityService, EnsembleOutcome, FrozenEnsemble, HybridConfig,
         HybridConnectivitySketch, HybridMode, HypergraphSparsifier, LightRecoverySketch, Overload,
-        QueryBudget, QueryOutcome, QueryPolicy, QueryRequest, QueryResponse, Recoverable,
-        Recovered, RecoveryDriver, RecoveryError, ServiceConfig, ServiceError, ShardState,
-        SparsifierConfig, SupervisedAnswer, SupervisedIngestor, SupervisorConfig,
-        TokenBucketConfig, VertexConnConfig, VertexConnSketch,
+        QueryBudget, QueryPolicy, QueryRequest, QueryResponse, Recoverable, Recovered,
+        RecoveryDriver, RecoveryError, ServiceConfig, ServiceError, ShardState, SparsifierConfig,
+        SupervisedAnswer, SupervisedIngestor, SupervisorConfig, TokenBucketConfig,
+        VertexConnConfig, VertexConnSketch,
     };
     pub use dgs_field::prng::{Rng, SeedableRng, SliceRandom, StdRng};
     pub use dgs_field::SeedTree;

@@ -22,10 +22,10 @@ fn via_players(
                 .filter(|e| e.contains(v))
                 .cloned()
                 .collect();
-            player_sketch(space, v, &incident, seeds, params)
+            try_player_sketch(space, v, &incident, seeds, params).unwrap()
         })
         .collect();
-    assemble_players(space, messages, seeds, params)
+    try_assemble_players(space, messages, seeds, params).unwrap()
 }
 
 #[test]
@@ -43,7 +43,7 @@ fn referee_decides_connectivity_for_graphs_and_hypergraphs() {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let seeds = SeedTree::new(100 + trial);
         let assembled = via_players(&h, &space, &seeds, params);
-        let (_, labels) = assembled.decode_with_labels();
+        let (_, labels) = assembled.try_decode_with_labels().unwrap();
         assert_eq!(
             labels.component_count(),
             algo::hyper_component_count(&h),
@@ -67,7 +67,7 @@ fn message_sizes_are_balanced_and_account_for_the_sketch() {
                 .filter(|e| e.contains(v))
                 .cloned()
                 .collect();
-            player_sketch(&space, v, &incident, &seeds, params)
+            try_player_sketch(&space, v, &incident, &seeds, params).unwrap()
         })
         .collect();
     // Vertex-based sketches: every player pays the same structural cost.
@@ -100,11 +100,15 @@ fn light_recovery_via_players_reconstructs() {
             .filter(|e| e.contains(v))
             .cloned()
             .collect();
-        let msgs = LightRecoverySketch::player_message(&space, k, v, &incident, &seeds, params);
+        let msgs = LightRecoverySketch::try_player_message(&space, k, v, &incident, &seeds, params)
+            .unwrap();
         assert_eq!(msgs.len(), k + 1);
-        referee.install_player(msgs);
+        referee.try_install_player(msgs).unwrap();
     }
-    let rec = referee.reconstruct().expect("gadget is 2-cut-degenerate");
+    let rec = referee
+        .try_reconstruct()
+        .unwrap()
+        .expect("gadget is 2-cut-degenerate");
     assert_eq!(rec.edge_count(), h.edge_count());
 }
 
@@ -123,7 +127,7 @@ fn sparsifier_via_players_equals_central() {
 
     let mut central = HypergraphSparsifier::new(space.clone(), cfg, &seeds);
     for e in h.edges() {
-        central.update(e, 1);
+        central.try_update(e, 1).unwrap();
     }
 
     let mut assembled = HypergraphSparsifier::new(space.clone(), cfg, &seeds);
@@ -134,10 +138,14 @@ fn sparsifier_via_players_equals_central() {
             .filter(|e| e.contains(v))
             .cloned()
             .collect();
-        let msg = HypergraphSparsifier::player_message(&space, &cfg, &seeds, v, &incident);
-        assembled.install_player(msg);
+        let msg =
+            HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, v, &incident).unwrap();
+        assembled.try_install_player(msg).unwrap();
     }
-    let (rc, ra) = (central.decode(), assembled.decode());
+    let (rc, ra) = (
+        central.try_decode().unwrap(),
+        assembled.try_decode().unwrap(),
+    );
     assert_eq!(rc.per_level, ra.per_level);
     assert_eq!(rc.complete, ra.complete);
     let edges_c: Vec<_> = rc.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
@@ -154,7 +162,7 @@ fn two_referees_with_same_public_coins_agree() {
     let seeds = SeedTree::new(4);
     let a = via_players(&h, &space, &seeds, params);
     let b = via_players(&h, &space, &seeds, params);
-    assert_eq!(a.decode(), b.decode());
+    assert_eq!(a.try_decode().unwrap(), b.try_decode().unwrap());
 }
 
 #[test]
@@ -184,7 +192,7 @@ fn player_messages_compose_with_stream_deletions() {
             if chord.contains(v) {
                 incident.push(chord.clone());
             }
-            let mut msg = player_sketch(&space, v, &incident, &seeds, params);
+            let mut msg = try_player_sketch(&space, v, &incident, &seeds, params).unwrap();
             if chord.contains(v) {
                 let idx = space.rank(&chord);
                 let coeff = dgs_connectivity::incidence_coefficient(&chord, v);
@@ -195,8 +203,8 @@ fn player_messages_compose_with_stream_deletions() {
             msg
         })
         .collect();
-    let assembled = assemble_players(&space, messages, &seeds, params);
-    let decoded = assembled.decode();
+    let assembled = try_assemble_players(&space, messages, &seeds, params).unwrap();
+    let decoded = assembled.try_decode().unwrap();
     assert_eq!(decoded.len(), n - 1, "spanning tree of the cycle only");
     assert!(!decoded.contains(&chord), "deleted chord leaked");
 }

@@ -23,17 +23,17 @@ fn forest_sketch_tracks_connectivity_through_full_lifecycle() {
 
     // Phase 1: a path (connected).
     for v in 0..(n - 1) as u32 {
-        sk.update(&HyperEdge::pair(v, v + 1), 1);
+        sk.try_update(&HyperEdge::pair(v, v + 1), 1).unwrap();
     }
-    assert!(sk.is_connected());
+    assert!(sk.try_is_connected().unwrap());
 
     // Phase 2: cut the middle edge (two components).
-    sk.update(&HyperEdge::pair(9, 10), -1);
-    assert_eq!(sk.component_count(), 2);
+    sk.try_update(&HyperEdge::pair(9, 10), -1).unwrap();
+    assert_eq!(sk.try_component_count().unwrap(), 2);
 
     // Phase 3: bridge the halves elsewhere.
-    sk.update(&HyperEdge::pair(0, 19), 1);
-    assert!(sk.is_connected());
+    sk.try_update(&HyperEdge::pair(0, 19), 1).unwrap();
+    assert!(sk.try_is_connected().unwrap());
 }
 
 #[test]
@@ -46,8 +46,8 @@ fn vertex_connectivity_pipeline_matches_exact_on_harary_family() {
         let space = EdgeSpace::graph(n).unwrap();
         let cfg = VertexConnConfig::query(kappa, n, 3.0, Profile::Practical);
         let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(kappa as u64));
-        feed(&stream, |e, d| sk.update(e, d));
-        let cert = sk.certificate();
+        feed(&stream, |e, d| sk.try_update(e, d).unwrap());
+        let cert = sk.try_certificate().unwrap();
         // κ(H) <= κ(G) deterministically; should reach κ whp at this R.
         let est = cert.vertex_connectivity(kappa + 2);
         assert!(est <= kappa, "κ(H) = {est} above κ(G) = {kappa}");
@@ -74,8 +74,8 @@ fn skeleton_union_bounds_every_cut_from_a_churn_stream() {
     let space = EdgeSpace::graph(n).unwrap();
     let params = ForestParams::new(Profile::Practical, space.dimension());
     let mut sk = KSkeletonSketch::new(space, k, &SeedTree::new(4), params);
-    feed(&stream, |e, d| sk.update(e, d));
-    let skeleton = Hypergraph::from_edges(n, sk.decode());
+    feed(&stream, |e, d| sk.try_update(e, d).unwrap());
+    let skeleton = Hypergraph::from_edges(n, sk.try_decode().unwrap());
     for mask in 1u32..(1 << (n - 1)) {
         let side: Vec<bool> = (0..n).map(|v| v > 0 && mask >> (v - 1) & 1 == 1).collect();
         assert!(
@@ -99,8 +99,8 @@ fn sparsifier_pipeline_preserves_planted_cut_and_min_cut() {
         ForestParams::new(Profile::Practical, space.dimension()),
     );
     let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(6));
-    feed(&stream, |e, d| sp.update(e, d));
-    let res = sp.decode();
+    feed(&stream, |e, d| sp.try_update(e, d).unwrap());
+    let res = sp.try_decode().unwrap();
     assert!(res.complete);
     // Light planted cut is recovered exactly at level 0 with unit weight.
     assert_eq!(res.sparsifier.cut_weight(&side), 2.0);
@@ -129,8 +129,12 @@ fn store_all_and_sketch_agree_on_final_graph_connectivity() {
         let space = EdgeSpace::graph(n).unwrap();
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk = SpanningForestSketch::new_full(space, &SeedTree::new(70 + trial), params);
-        feed(&stream, |e, d| sk.update(e, d));
-        assert_eq!(sk.component_count(), exact_comps, "trial {trial}");
+        feed(&stream, |e, d| sk.try_update(e, d).unwrap());
+        assert_eq!(
+            sk.try_component_count().unwrap(),
+            exact_comps,
+            "trial {trial}"
+        );
     }
 }
 
@@ -163,8 +167,12 @@ fn eppstein_baseline_and_sketch_disagree_only_under_deletions() {
     let space = EdgeSpace::graph(n).unwrap();
     let params = ForestParams::new(Profile::Practical, space.dimension());
     let mut sk = SpanningForestSketch::new_full(space, &SeedTree::new(8), params);
-    feed(&adversarial, |e, d| sk.update(e, d));
-    assert_eq!(sk.component_count(), 2, "sketch sees the true final graph");
-    let decoded = sk.decode();
+    feed(&adversarial, |e, d| sk.try_update(e, d).unwrap());
+    assert_eq!(
+        sk.try_component_count().unwrap(),
+        2,
+        "sketch sees the true final graph"
+    );
+    let decoded = sk.try_decode().unwrap();
     assert_eq!(decoded.len(), n - 2, "the full path is decodable");
 }

@@ -163,13 +163,13 @@ fn dropped_player_messages_are_detected_by_strict_assembly() {
             .collect()
     };
     let messages: Vec<_> = (0..12u32)
-        .map(|v| player_sketch(&space, v, &incident(v), &seeds, params))
+        .map(|v| try_player_sketch(&space, v, &incident(v), &seeds, params).unwrap())
         .collect();
 
     // The complete set assembles into the central sketch.
     let full = assemble_players_strict(&space, messages.clone(), &seeds, params).unwrap();
     assert_eq!(
-        full.decode_with_labels().1.component_count(),
+        full.try_decode_with_labels().unwrap().1.component_count(),
         hyper_component_count(&h)
     );
 
@@ -209,7 +209,7 @@ fn sparsifier_protocol_survives_a_lossy_channel() {
 
     let mut central = HypergraphSparsifier::new(space.clone(), cfg, &seeds);
     for e in h.edges() {
-        central.update(e, 1);
+        central.try_update(e, 1).unwrap();
     }
 
     let incident = |v: u32| -> Vec<HyperEdge> {
@@ -222,9 +222,10 @@ fn sparsifier_protocol_survives_a_lossy_channel() {
     let mut referee = HypergraphSparsifier::new(space.clone(), cfg, &seeds);
     let mut channel = LossyChannel::new(9, 0.15, 0.10);
     for v in 0..n as u32 {
-        let msg = HypergraphSparsifier::player_message(&space, &cfg, &seeds, v, &incident(v));
+        let msg = HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, v, &incident(v))
+            .unwrap();
         let (delivered, _) = channel.transmit_with_retry(&msg, 64).unwrap();
-        referee.install_player(delivered);
+        referee.try_install_player(delivered).unwrap();
     }
     assert_eq!(channel.stats.delivered, n);
     assert!(
@@ -232,7 +233,7 @@ fn sparsifier_protocol_survives_a_lossy_channel() {
         "channel noise never exercised — raise the fault rates"
     );
 
-    let (a, b) = (central.decode(), referee.decode());
+    let (a, b) = (central.try_decode().unwrap(), referee.try_decode().unwrap());
     assert_eq!(a.per_level, b.per_level);
     let ea: Vec<_> = a.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
     let eb: Vec<_> = b.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
@@ -240,7 +241,8 @@ fn sparsifier_protocol_survives_a_lossy_channel() {
 
     // A channel that always loses fails *typed*, never silently.
     let mut dead = LossyChannel::new(10, 1.0, 0.0);
-    let msg = HypergraphSparsifier::player_message(&space, &cfg, &seeds, 0, &incident(0));
+    let msg =
+        HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, 0, &incident(0)).unwrap();
     assert_eq!(
         dead.transmit_with_retry(&msg, 3).unwrap_err(),
         ChannelError::Exhausted { attempts: 3 }
@@ -330,13 +332,13 @@ fn boosting_drives_the_failure_rate_down() {
         // Whenever the boosted query answers, the answer is a real element
         // of the vector with its true weight — never a fabricated one.
         match boosted.query(|s| s.sample()) {
-            QueryOutcome::Answer { value, .. } => {
+            SupervisedAnswer::Full { value, .. } => {
                 let (idx, w) = value.expect("nonzero vector certified zero");
                 assert!(support.contains(&idx), "sampled index {idx} not in support");
                 assert_eq!(w, 1);
             }
-            QueryOutcome::Unknown { .. } => {}
-            QueryOutcome::Invalid(e) => panic!("clean vector flagged invalid: {e}"),
+            SupervisedAnswer::Unknown { .. } => {}
+            other => panic!("clean vector resolved to {other:?}"),
         }
 
         // Failure rate for every prefix R = 1..=reps of the same data: the
@@ -510,9 +512,11 @@ fn degraded_queries_widen_delta_but_never_the_answer() {
         assert_eq!(sup.live_repetitions(), live, "rung {rung}");
         let truth = prefix_component_count(&stream, consumed);
         let answer = sup
-            .query(&QueryBudget::default(), |_, s: &SpanningForestSketch| {
-                s.try_component_count()
-            })
+            .query(
+                &QueryBudget::default(),
+                QueryPolicy::FirstSuccess,
+                |_, s: &SpanningForestSketch| s.try_component_count(),
+            )
             .unwrap();
         match answer {
             SupervisedAnswer::Full { value, .. } => {

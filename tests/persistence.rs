@@ -53,16 +53,20 @@ fn forest_sketch_checkpoint_mid_stream() {
     // Process half the stream, checkpoint, restore, process the rest.
     let half = stream.len() / 2;
     for u in &stream.updates[..half] {
-        sk.update(&u.edge, u.op.delta());
+        sk.try_update(&u.edge, u.op.delta()).unwrap();
     }
     let mut restored = round_trip(&sk);
     for u in &stream.updates[half..] {
-        sk.update(&u.edge, u.op.delta());
-        restored.update(&u.edge, u.op.delta());
+        sk.try_update(&u.edge, u.op.delta()).unwrap();
+        restored.try_update(&u.edge, u.op.delta()).unwrap();
     }
-    assert_eq!(sk.decode(), restored.decode());
+    assert_eq!(sk.try_decode().unwrap(), restored.try_decode().unwrap());
     assert_eq!(
-        restored.decode_with_labels().1.component_count(),
+        restored
+            .try_decode_with_labels()
+            .unwrap()
+            .1
+            .component_count(),
         dgs_hypergraph::algo::hyper_component_count(&h)
     );
 }
@@ -76,19 +80,19 @@ fn skeleton_and_light_recovery_round_trip() {
     let mut skel = KSkeletonSketch::new(space.clone(), 3, &SeedTree::new(4), params);
     let mut light = LightRecoverySketch::new(space, 2, &SeedTree::new(5), params);
     for e in h.edges() {
-        skel.update(e, 1);
-        light.update(e, 1);
+        skel.try_update(e, 1).unwrap();
+        light.try_update(e, 1).unwrap();
     }
     let skel2 = round_trip(&skel);
-    assert_eq!(skel.decode(), skel2.decode());
+    assert_eq!(skel.try_decode().unwrap(), skel2.try_decode().unwrap());
     assert_eq!(skel.k(), skel2.k());
 
     let light2 = round_trip(&light);
-    let (a, b) = (light.recover(), light2.recover());
+    let (a, b) = (light.try_recover().unwrap(), light2.try_recover().unwrap());
     assert_eq!(a.complete, b.complete);
     assert_eq!(a.edges(), b.edges());
     assert_eq!(
-        light2.reconstruct().map(|r| r.edge_count()),
+        light2.try_reconstruct().unwrap().map(|r| r.edge_count()),
         Some(h.edge_count())
     );
 }
@@ -104,17 +108,17 @@ fn vertex_conn_and_sparsifier_round_trip() {
     let cfg = VertexConnConfig::query(2, g.n(), 2.0, Profile::Practical);
     let mut vc = VertexConnSketch::new(space.clone(), cfg, &SeedTree::new(10));
     for e in h.edges() {
-        vc.update(e, 1);
+        vc.try_update(e, 1).unwrap();
     }
     let mut vc2 = round_trip(&vc);
     assert_eq!(
-        vc.certificate().union.edges(),
-        vc2.certificate().union.edges()
+        vc.try_certificate().unwrap().union.edges(),
+        vc2.try_certificate().unwrap().union.edges()
     );
     // The restored structure keeps accepting updates (membership rebuilt).
-    vc2.update(&HyperEdge::pair(0, 1), -1);
-    vc2.update(&HyperEdge::pair(0, 1), 1);
-    assert!(vc2.certificate().disconnects(&[5, 6]));
+    vc2.try_update(&HyperEdge::pair(0, 1), -1).unwrap();
+    vc2.try_update(&HyperEdge::pair(0, 1), 1).unwrap();
+    assert!(vc2.try_certificate().unwrap().disconnects(&[5, 6]));
 
     let hh = generators::random_uniform_hypergraph(10, 3, 18, &mut rng);
     let hspace = EdgeSpace::new(10, 3).unwrap();
@@ -125,10 +129,10 @@ fn vertex_conn_and_sparsifier_round_trip() {
     );
     let mut sp = HypergraphSparsifier::new(hspace, scfg, &SeedTree::new(11));
     for e in hh.edges() {
-        sp.update(e, 1);
+        sp.try_update(e, 1).unwrap();
     }
     let sp2 = round_trip(&sp);
-    let (a, b) = (sp.decode(), sp2.decode());
+    let (a, b) = (sp.try_decode().unwrap(), sp2.try_decode().unwrap());
     assert_eq!(a.per_level, b.per_level);
     let ea: Vec<_> = a.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
     let eb: Vec<_> = b.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
@@ -239,38 +243,40 @@ fn adversarial_bytes_never_panic_any_codec() {
     assert_decode_rejects_corruption(&params, "ForestParams");
 
     let mut forest = SpanningForestSketch::new_full(space.clone(), &seeds.child(5), params);
-    forest.update(&HyperEdge::pair(0, 1), 1);
+    forest.try_update(&HyperEdge::pair(0, 1), 1).unwrap();
     assert_decode_rejects_corruption(&forest, "SpanningForestSketch");
 
     let mut skel = KSkeletonSketch::new(space.clone(), 2, &seeds.child(6), params);
-    skel.update(&HyperEdge::pair(1, 2), 1);
+    skel.try_update(&HyperEdge::pair(1, 2), 1).unwrap();
     assert_decode_rejects_corruption(&skel, "KSkeletonSketch");
 
-    let msg = player_sketch(&space, 0, &[HyperEdge::pair(0, 3)], &seeds.child(7), params);
+    let msg =
+        try_player_sketch(&space, 0, &[HyperEdge::pair(0, 3)], &seeds.child(7), params).unwrap();
     assert_decode_rejects_corruption(&msg, "PlayerMessage");
 
     let mut cfg = VertexConnConfig::query(2, 6, 1.0, Profile::Practical);
     cfg.forest = params;
     assert_decode_rejects_corruption(&cfg, "VertexConnConfig");
     let mut vc = VertexConnSketch::new(space.clone(), cfg, &seeds.child(8));
-    vc.update(&HyperEdge::pair(2, 3), 1);
+    vc.try_update(&HyperEdge::pair(2, 3), 1).unwrap();
     assert_decode_rejects_corruption(&vc, "VertexConnSketch");
 
     let mut light = LightRecoverySketch::new(space.clone(), 1, &seeds.child(9), params);
-    light.update(&HyperEdge::pair(4, 5), 1);
+    light.try_update(&HyperEdge::pair(4, 5), 1).unwrap();
     assert_decode_rejects_corruption(&light, "LightRecoverySketch");
 
     let scfg = SparsifierConfig::explicit(1, 2, params);
     let mut sp = HypergraphSparsifier::new(space.clone(), scfg, &seeds.child(10));
-    sp.update(&HyperEdge::pair(0, 5), 1);
+    sp.try_update(&HyperEdge::pair(0, 5), 1).unwrap();
     assert_decode_rejects_corruption(&sp, "HypergraphSparsifier");
 
-    let sp_msg = HypergraphSparsifier::player_message(
+    let sp_msg = HypergraphSparsifier::try_player_message(
         &space,
         &scfg,
         &seeds.child(10),
         0,
         &[HyperEdge::pair(0, 5)],
-    );
+    )
+    .unwrap();
     assert_decode_rejects_corruption(&sp_msg, "SparsifierPlayerMessage");
 }

@@ -46,9 +46,9 @@ fn forest_sketch_matches_exact_components() {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk = SpanningForestSketch::new_full(space, &SeedTree::new(trial), params);
         for u in &stream.updates {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta()).unwrap();
         }
-        let (forest, labels) = sk.decode_with_labels();
+        let (forest, labels) = sk.try_decode_with_labels().unwrap();
         assert_eq!(
             labels.component_count(),
             algo::component_count(&g),
@@ -80,15 +80,19 @@ fn sketch_addition_is_graph_union() {
         let mut full = SpanningForestSketch::new_full(space, &seeds, params);
         for (i, &(u, v)) in all.iter().enumerate().take(12) {
             let e = HyperEdge::pair(u, v);
-            full.update(&e, 1);
+            full.try_update(&e, 1).unwrap();
             if split_mask >> i & 1 == 1 {
-                a.update(&e, 1);
+                a.try_update(&e, 1).unwrap();
             } else {
-                b.update(&e, 1);
+                b.try_update(&e, 1).unwrap();
             }
         }
-        a.add_assign_sketch(&b);
-        assert_eq!(a.decode(), full.decode(), "trial {trial}");
+        a.try_add_assign_sketch(&b).unwrap();
+        assert_eq!(
+            a.try_decode().unwrap(),
+            full.try_decode().unwrap(),
+            "trial {trial}"
+        );
     }
 }
 
@@ -148,9 +152,15 @@ fn sharded_forest_equals_serial() {
     let build = || SpanningForestSketch::new_full(space.clone(), &seeds, params);
     let serial = ingest_serial(&stream, build());
     for shards in [1usize, 2, 4, 7] {
-        let folded = shard_and_fold(&stream, shards, build, |a, b| a.add_assign_sketch(b));
+        let folded = shard_and_fold(&stream, shards, build, |a, b| {
+            a.try_add_assign_sketch(b).unwrap()
+        });
         assert_eq!(encoded(&folded), encoded(&serial), "{shards} shards");
-        assert_eq!(folded.decode(), serial.decode(), "{shards} shards");
+        assert_eq!(
+            folded.try_decode().unwrap(),
+            serial.try_decode().unwrap(),
+            "{shards} shards"
+        );
     }
 }
 
@@ -163,11 +173,13 @@ fn sharded_vertex_conn_equals_serial() {
     let seeds = SeedTree::new(11);
     let build = || VertexConnSketch::new(space.clone(), cfg, &seeds);
     let serial = ingest_serial(&stream, build());
-    let folded = shard_and_fold(&stream, 3, build, |a, b| a.add_assign_sketch(b));
+    let folded = shard_and_fold(&stream, 3, build, |a, b| {
+        a.try_add_assign_sketch(b).unwrap()
+    });
     assert_eq!(encoded(&folded), encoded(&serial));
     assert_eq!(
-        folded.certificate().union.edges(),
-        serial.certificate().union.edges()
+        folded.try_certificate().unwrap().union.edges(),
+        serial.try_certificate().unwrap().union.edges()
     );
 }
 
@@ -184,9 +196,11 @@ fn sharded_sparsifier_equals_serial() {
     let seeds = SeedTree::new(12);
     let build = || HypergraphSparsifier::new(space.clone(), cfg, &seeds);
     let serial = ingest_serial(&stream, build());
-    let folded = shard_and_fold(&stream, 4, build, |a, b| a.add_assign_sketch(b));
+    let folded = shard_and_fold(&stream, 4, build, |a, b| {
+        a.try_add_assign_sketch(b).unwrap()
+    });
     assert_eq!(encoded(&folded), encoded(&serial));
-    let (a, b) = (serial.decode(), folded.decode());
+    let (a, b) = (serial.try_decode().unwrap(), folded.try_decode().unwrap());
     assert_eq!(a.per_level, b.per_level);
     let ea: Vec<_> = a.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
     let eb: Vec<_> = b.sparsifier.iter().map(|(e, w)| (e.clone(), w)).collect();
@@ -204,7 +218,7 @@ fn stream_order_is_irrelevant() {
         let seeds = SeedTree::new(trial);
         let mut in_order = SpanningForestSketch::new_full(space.clone(), &seeds, params);
         for u in &stream.updates {
-            in_order.update(&u.edge, u.op.delta());
+            in_order.try_update(&u.edge, u.op.delta()).unwrap();
         }
         // Apply the same multiset of (edge, delta) pairs in shuffled order —
         // transiently negative multiplicities are fine for a linear sketch.
@@ -212,9 +226,13 @@ fn stream_order_is_irrelevant() {
         shuffled.shuffle(&mut rng);
         let mut out_of_order = SpanningForestSketch::new_full(space, &seeds, params);
         for u in &shuffled {
-            out_of_order.update(&u.edge, u.op.delta());
+            out_of_order.try_update(&u.edge, u.op.delta()).unwrap();
         }
-        assert_eq!(in_order.decode(), out_of_order.decode(), "trial {trial}");
+        assert_eq!(
+            in_order.try_decode().unwrap(),
+            out_of_order.try_decode().unwrap(),
+            "trial {trial}"
+        );
     }
 }
 
@@ -238,9 +256,9 @@ fn single_vertex_removal_queries_match() {
         let cfg = VertexConnConfig::query(1, 10, 6.0, Profile::Practical);
         let mut sk = VertexConnSketch::new(space, cfg, &SeedTree::new(trial));
         for u in &stream.updates {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta()).unwrap();
         }
-        let cert = sk.certificate();
+        let cert = sk.try_certificate().unwrap();
         for v in 0..10u32 {
             assert_eq!(
                 cert.disconnects(&[v]),
@@ -265,10 +283,10 @@ fn light_recovery_equals_strength_filter() {
         let params = ForestParams::new(Profile::Practical, space.dimension());
         let mut sk = LightRecoverySketch::new(space, k, &SeedTree::new(trial), params);
         for u in &stream.updates {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta()).unwrap();
         }
         let recovered: std::collections::BTreeSet<HyperEdge> =
-            sk.recover().edges().into_iter().collect();
+            sk.try_recover().unwrap().edges().into_iter().collect();
         let strengths = algo::strength::edge_strengths(&g);
         for (u, v) in g.edges() {
             let in_light = recovered.contains(&HyperEdge::pair(u, v));

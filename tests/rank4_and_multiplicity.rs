@@ -27,9 +27,9 @@ fn rank_4_spanning_and_connectivity() {
         );
         let stream = generators::churn_stream(&h, generators::ChurnConfig::default(), &mut rng);
         for u in &stream.updates {
-            sk.update(&u.edge, u.op.delta());
+            sk.try_update(&u.edge, u.op.delta()).unwrap();
         }
-        let (kept, labels) = sk.decode_with_labels();
+        let (kept, labels) = sk.try_decode_with_labels().unwrap();
         assert_eq!(
             labels.component_count(),
             algo::hyper_component_count(&h),
@@ -49,10 +49,10 @@ fn rank_4_light_recovery_matches_exact() {
     let space = EdgeSpace::new(n, 4).unwrap();
     let mut sk = LightRecoverySketch::new(space.clone(), 1, &SeedTree::new(7), params_for(&space));
     for e in h.edges() {
-        sk.update(e, 1);
+        sk.try_update(e, 1).unwrap();
     }
     let recovered: std::collections::BTreeSet<HyperEdge> =
-        sk.recover().edges().into_iter().collect();
+        sk.try_recover().unwrap().edges().into_iter().collect();
     let (exact, _) = algo::strength::light_k_exact(&h, 1);
     let exact_set: std::collections::BTreeSet<HyperEdge> =
         exact.iter().map(|&i| h.edges()[i].clone()).collect();
@@ -72,9 +72,9 @@ fn rank_4_edge_connectivity() {
     let space = EdgeSpace::new(12, 4).unwrap();
     let mut sk = EdgeConnSketch::new(space.clone(), 3, &SeedTree::new(8), params_for(&space));
     for e in h.edges() {
-        sk.update(e, 1);
+        sk.try_update(e, 1).unwrap();
     }
-    let (lambda, side) = sk.edge_connectivity();
+    let (lambda, side) = sk.try_edge_connectivity().unwrap();
     assert_eq!(lambda, 1);
     assert_eq!(h.cut_size(&side), 1);
 }
@@ -93,15 +93,18 @@ fn multigraph_multiplicities_are_first_class() {
         ForestParams::new(Profile::Practical, EdgeSpace::graph(n).unwrap().dimension()),
     );
     let e = HyperEdge::pair(2, 4);
-    sk.update(&e, 1);
-    sk.update(&e, 1);
-    sk.update(&e, 1);
-    sk.update(&e, -1);
-    sk.update(&e, -1);
-    let forest = sk.decode();
+    sk.try_update(&e, 1).unwrap();
+    sk.try_update(&e, 1).unwrap();
+    sk.try_update(&e, 1).unwrap();
+    sk.try_update(&e, -1).unwrap();
+    sk.try_update(&e, -1).unwrap();
+    let forest = sk.try_decode().unwrap();
     assert_eq!(forest, vec![e.clone()], "multiplicity 1 edge must decode");
-    sk.update(&e, -1);
-    assert!(sk.decode().is_empty(), "multiplicity 0 edge must vanish");
+    sk.try_update(&e, -1).unwrap();
+    assert!(
+        sk.try_decode().unwrap().is_empty(),
+        "multiplicity 0 edge must vanish"
+    );
 }
 
 #[test]
@@ -115,19 +118,19 @@ fn batched_weight_updates_equal_repeated_unit_updates() {
     let mut b = SpanningForestSketch::new_full(space, &seeds, params);
     let e1 = HyperEdge::pair(0, 1);
     let e2 = HyperEdge::new(vec![2, 3]).unwrap();
-    a.update(&e1, 3);
-    a.update(&e2, 2);
+    a.try_update(&e1, 3).unwrap();
+    a.try_update(&e2, 2).unwrap();
     for _ in 0..3 {
-        b.update(&e1, 1);
+        b.try_update(&e1, 1).unwrap();
     }
     for _ in 0..2 {
-        b.update(&e2, 1);
+        b.try_update(&e2, 1).unwrap();
     }
-    assert_eq!(a.decode(), b.decode());
+    assert_eq!(a.try_decode().unwrap(), b.try_decode().unwrap());
     // And net-zero via a big negative delta.
-    a.update(&e1, -3);
-    a.update(&e2, -2);
-    assert!(a.decode().is_empty());
+    a.try_update(&e1, -3).unwrap();
+    a.try_update(&e2, -2).unwrap();
+    assert!(a.try_decode().unwrap().is_empty());
 }
 
 #[test]
@@ -140,9 +143,9 @@ fn mixed_rank_stream_through_the_sparsifier() {
     let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(11));
     let stream = generators::churn_stream(&h, generators::ChurnConfig::default(), &mut rng);
     for u in &stream.updates {
-        sp.update(&u.edge, u.op.delta());
+        sp.try_update(&u.edge, u.op.delta()).unwrap();
     }
-    let res = sp.decode();
+    let res = sp.try_decode().unwrap();
     assert!(res.complete);
     // k = 10 >= every λ_e at this density: exact reproduction.
     assert_eq!(res.sparsifier.edge_count(), h.edge_count());
