@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 use dgs_bench::baseline::{guard, Verdicts};
 use dgs_bench::experiments::{
-    e17_ingest, e18_obs, e19_query, e20_chaos, e21_service, e22_trace, e23_hybrid,
+    e16_recovery, e17_ingest, e18_obs, e19_query, e20_chaos, e21_service, e22_trace, e23_hybrid,
 };
 
 /// A guarded experiment's quick re-run, judged by its own verdicts.
@@ -21,6 +21,9 @@ type Rerun = fn() -> Verdicts;
 /// The CI guards: subcommand, default baseline file, and the quick re-run
 /// [`guard`] enforces against that baseline.
 const CHECKS: &[(&str, &str, Rerun)] = &[
+    ("check-recovery", "BENCH_recovery.json", || {
+        e16_recovery::verdicts(&e16_recovery::measure(true))
+    }),
     ("check-ingest", "BENCH_ingest.json", || {
         e17_ingest::verdicts(&e17_ingest::measure(true))
     }),

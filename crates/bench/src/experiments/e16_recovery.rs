@@ -6,7 +6,10 @@
 //! writing the sketch more often. Because sketches are linear, recovery is
 //! *exact* — this experiment verifies bit-identity against an uninterrupted
 //! run in every row while measuring the trade-off, and writes the machine-
-//! readable baseline `BENCH_recovery.json`.
+//! readable baseline `BENCH_recovery.json` that the CI bench-smoke job
+//! (`experiments check-recovery`) guards. Recovery reads the log only from
+//! the snapshot it starts at: each row also counts the WAL segments it read
+//! end to end, which must cover the replayed tail and nothing behind it.
 
 use std::time::Instant;
 
@@ -19,7 +22,7 @@ use dgs_hypergraph::generators::gnm;
 use dgs_hypergraph::wal::WalConfig;
 use dgs_hypergraph::{EdgeSpace, Hypergraph};
 
-use crate::baseline::{Baseline, Fields};
+use crate::baseline::{Baseline, Fields, Verdicts};
 use crate::report::{fmt_bytes, Table};
 use crate::workloads::{default_stream, lean_forest};
 
@@ -45,19 +48,65 @@ fn dir_bytes(dir: &std::path::Path) -> u64 {
         .unwrap_or(0)
 }
 
-struct RowOut {
-    interval: String,
-    interval_updates: Option<u64>,
-    snapshots: usize,
-    wal_bytes: u64,
-    snap_bytes: u64,
-    ingest_ms: f64,
-    replayed: u64,
-    recovery_ms: f64,
-    exact: bool,
+/// WAL segment size of every row: small, so the log spans many segments
+/// and the segments a recovery reads show whether it read only its tail.
+pub const SEGMENT_RECORDS: u64 = 64;
+
+pub struct RowOut {
+    pub interval: String,
+    pub interval_updates: Option<u64>,
+    pub snapshots: usize,
+    /// Offset of the newest snapshot on disk at the crash, if any.
+    pub newest_snapshot: Option<u64>,
+    pub wal_bytes: u64,
+    pub snap_bytes: u64,
+    pub ingest_ms: f64,
+    pub replayed: u64,
+    pub wal_segments_read: usize,
+    pub recovery_ms: f64,
+    pub exact: bool,
 }
 
-pub fn run(quick: bool) {
+pub struct Measurement {
+    pub n: usize,
+    pub updates: usize,
+    pub crash_at: usize,
+    pub sketch_bytes: usize,
+    pub rows: Vec<RowOut>,
+}
+
+/// The acceptance verdicts: every row recovers bit-identically, replays
+/// exactly the records past its newest snapshot, and reads end to end only
+/// the WAL segments holding them (plus the final one).
+pub fn verdicts(m: &Measurement) -> Verdicts {
+    m.rows.iter().fold(Verdicts::new(), |v, r| {
+        let label = &r.interval;
+        let since = (m.crash_at as u64).saturating_sub(r.newest_snapshot.unwrap_or(0));
+        let v = v.check(format!("{label} exact"), r.exact).equal(
+            &format!("{label} replayed"),
+            r.replayed,
+            "crash offset minus snapshot offset",
+            since,
+        );
+        match r.newest_snapshot {
+            Some(_) => {
+                let bound = r.replayed.div_ceil(SEGMENT_RECORDS) as usize + 1;
+                v.check(
+                    format!(
+                        "{label} wal_segments_read {} <= ceil(replayed / {SEGMENT_RECORDS}) + 1 = {bound}",
+                        r.wal_segments_read
+                    ),
+                    r.wal_segments_read <= bound,
+                )
+            }
+            None => v,
+        }
+    })
+}
+
+/// Runs the interval sweep. Separated from [`run`] so the CI guard
+/// (`check-recovery`) can re-measure without printing tables.
+pub fn measure(quick: bool) -> Measurement {
     let n: usize = if quick { 48 } else { 96 };
     let seed = 0xE16;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -84,20 +133,6 @@ pub fn run(quick: bool) {
         w.into_bytes()
     };
 
-    let mut table = Table::new(
-        "E16: recovery time vs checkpoint interval (forest sketch)",
-        &[
-            "interval",
-            "snapshots",
-            "wal size",
-            "snap size",
-            "ingest ms",
-            "replayed",
-            "recovery ms",
-            "exact",
-        ],
-    );
-
     let base = std::env::temp_dir().join(format!("dgs-e16-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let mut rows: Vec<RowOut> = Vec::new();
@@ -112,7 +147,7 @@ pub fn run(quick: bool) {
             batch_size: 1,
             checkpoint: CheckpointConfig {
                 wal: WalConfig {
-                    segment_records: 4096,
+                    segment_records: SEGMENT_RECORDS,
                     seed,
                 },
                 snapshot_interval: interval.unwrap_or(u64::MAX),
@@ -137,7 +172,7 @@ pub fn run(quick: bool) {
         }
         let ingest_ms = t0.elapsed().as_secs_f64() * 1e3;
         let store = ing.shard_store(0).clone();
-        let snapshots = store.offsets().expect("list snapshots").len();
+        let offsets = store.offsets().expect("list snapshots");
         drop(ing);
 
         let wal_bytes = dir_bytes(&wal_dir);
@@ -157,56 +192,91 @@ pub fn run(quick: bool) {
             w.into_bytes() == reference_bytes
         };
 
-        let label = match interval {
-            Some(k) => k.to_string(),
-            None => "wal-only".to_string(),
-        };
-        table.row(vec![
-            label.clone(),
-            snapshots.to_string(),
-            fmt_bytes(wal_bytes as usize),
-            fmt_bytes(snap_bytes as usize),
-            format!("{ingest_ms:.1}"),
-            rec.replayed.to_string(),
-            format!("{recovery_ms:.2}"),
-            exact.to_string(),
-        ]);
         rows.push(RowOut {
-            interval: label,
+            interval: match interval {
+                Some(k) => k.to_string(),
+                None => "wal-only".to_string(),
+            },
             interval_updates: interval,
-            snapshots,
+            snapshots: offsets.len(),
+            newest_snapshot: offsets.last().copied(),
             wal_bytes,
             snap_bytes,
             ingest_ms,
             replayed: rec.replayed,
+            wal_segments_read: rec.wal_segments_read,
             recovery_ms,
             exact,
         });
     }
     let _ = std::fs::remove_dir_all(&base);
+    Measurement {
+        n,
+        updates: m,
+        crash_at,
+        sketch_bytes: encoded_len(&reference),
+        rows,
+    }
+}
 
+pub fn run(quick: bool) {
+    let meas = measure(quick);
+    let mut table = Table::new(
+        "E16: recovery time vs checkpoint interval (forest sketch)",
+        &[
+            "interval",
+            "snapshots",
+            "wal size",
+            "snap size",
+            "ingest ms",
+            "replayed",
+            "segs read",
+            "recovery ms",
+            "exact",
+        ],
+    );
+    for r in &meas.rows {
+        table.row(vec![
+            r.interval.clone(),
+            r.snapshots.to_string(),
+            fmt_bytes(r.wal_bytes as usize),
+            fmt_bytes(r.snap_bytes as usize),
+            format!("{:.1}", r.ingest_ms),
+            r.replayed.to_string(),
+            r.wal_segments_read.to_string(),
+            format!("{:.2}", r.recovery_ms),
+            r.exact.to_string(),
+        ]);
+    }
     table.note(format!(
-        "workload: {m} updates over n = {n}; crash at update {crash_at}; sketch {} encoded",
-        fmt_bytes(encoded_len(&reference))
+        "workload: {} updates over n = {}; crash at update {}; sketch {} encoded; \
+         {SEGMENT_RECORDS}-record WAL segments",
+        meas.updates,
+        meas.n,
+        meas.crash_at,
+        fmt_bytes(meas.sketch_bytes)
     ));
     table.note("recovery = newest valid snapshot + WAL-tail replay; exact = bit-identical to uninterrupted run");
+    table.note("segs read = WAL segments read end to end: the tail past the snapshot, never the log behind it");
     table.note("wal-only = no snapshots: recovery degrades to a full-log replay");
+    let verdicts = verdicts(&meas);
+    table.note(format!("acceptance: {}", verdicts.outcome()));
     table.print();
-
-    write_baseline(&rows, n, m, crash_at, quick);
+    write_baseline(&meas, verdicts.pass(), quick);
 }
 
 /// `BENCH_recovery.json` in the shared [`crate::baseline`] schema: a row
 /// per snapshot cadence (`pass` = bit-exact recovery), summary `pass` =
-/// every cadence recovered exactly.
-fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize, quick: bool) {
+/// every verdict held.
+fn write_baseline(meas: &Measurement, pass: bool, quick: bool) {
     let mut b = Baseline::new("e16-recovery").config(
         Fields::new()
-            .usize("n", n)
-            .usize("updates", m)
-            .usize("crash_at", crash_at),
+            .usize("n", meas.n)
+            .usize("updates", meas.updates)
+            .usize("crash_at", meas.crash_at)
+            .u64("segment_records", SEGMENT_RECORDS),
     );
-    for r in rows {
+    for r in &meas.rows {
         b.row(
             Fields::new()
                 .opt_u64("interval", r.interval_updates)
@@ -216,12 +286,65 @@ fn write_baseline(rows: &[RowOut], n: usize, m: usize, crash_at: usize, quick: b
                 .u64("snapshot_bytes", r.snap_bytes)
                 .f64("ingest_ms", r.ingest_ms, 3)
                 .u64("replayed", r.replayed)
+                .usize("wal_segments_read", r.wal_segments_read)
                 .f64("recovery_ms", r.recovery_ms, 3)
                 .bool("exact", r.exact),
             r.exact,
         );
     }
-    let all_exact = rows.iter().all(|r| r.exact);
-    b.summary(Fields::new().bool("all_exact", all_exact), all_exact)
+    let all_exact = meas.rows.iter().all(|r| r.exact);
+    b.summary(Fields::new().bool("all_exact", all_exact), pass)
         .write("BENCH_recovery.json", quick);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::baseline::{guard, passing_baseline};
+
+    fn row(label: &str, newest_snapshot: Option<u64>, replayed: u64, segments: usize) -> RowOut {
+        RowOut {
+            interval: label.to_string(),
+            interval_updates: newest_snapshot.map(|_| 64),
+            snapshots: usize::from(newest_snapshot.is_some()),
+            newest_snapshot,
+            wal_bytes: 0,
+            snap_bytes: 0,
+            ingest_ms: 0.0,
+            replayed,
+            wal_segments_read: segments,
+            recovery_ms: 0.0,
+            exact: true,
+        }
+    }
+
+    /// A snapshot row that reads the log behind its snapshot fails the
+    /// guard, and so does one that replays from an older snapshot.
+    #[test]
+    fn guard_enforces_tail_only_recovery() {
+        let m = |rows| Measurement {
+            n: 48,
+            updates: 480,
+            crash_at: 411,
+            sketch_bytes: 0,
+            rows,
+        };
+        let path = passing_baseline("e16");
+        let path = path.to_str().unwrap();
+        let good = || {
+            m(vec![
+                row("64", Some(384), 27, 2),
+                row("wal-only", None, 411, 7),
+            ])
+        };
+        assert!(guard("check-recovery", path, || verdicts(&good())));
+        for bad in [
+            m(vec![row("64", Some(384), 27, 7)]),
+            m(vec![row("64", Some(384), 91, 3)]),
+            m(vec![row("wal-only", None, 27, 1)]),
+        ] {
+            assert!(!guard("check-recovery", path, || verdicts(&bad)));
+        }
+        let _ = std::fs::remove_file(path);
+    }
 }

@@ -7,11 +7,18 @@
 //! snapshots and a recovery ladder that never panics on damaged state:
 //!
 //! 1. load the **newest valid snapshot** and replay the WAL tail past its
-//!    recorded stream offset;
+//!    recorded stream offset, reading the log from that offset on
+//!    ([`read_wal_from`]);
 //! 2. if every snapshot is corrupt (bit flips, torn renames), fall back to
 //!    a **full-log replay** into a freshly seeded sketch;
-//! 3. if the log itself is damaged beyond its torn tail, surface a typed
-//!    [`RecoveryError`] — corrupted state is reported, never absorbed.
+//! 3. if the part of the log a rung reads is damaged beyond its torn tail,
+//!    surface a typed [`RecoveryError`] — corrupted state is reported,
+//!    never absorbed.
+//!
+//! A rung validates end to end the WAL segments it replays, plus the final
+//! one. Damage wholly behind the snapshot a recovery starts from is not
+//! read, so it is found by the next full read: the full-log rung,
+//! [`dgs_hypergraph::read_wal`], or a supervised scrub audit.
 //!
 //! ## Snapshot format
 //!
@@ -35,7 +42,7 @@ use std::path::{Path, PathBuf};
 use dgs_connectivity::{KSkeletonSketch, SpanningForestSketch};
 use dgs_field::{Codec, Reader, Writer};
 use dgs_hypergraph::fault::fnv1a64;
-use dgs_hypergraph::wal::{read_wal, WalConfig, WalError};
+use dgs_hypergraph::wal::{read_wal_from, WalConfig, WalError, WalReplay};
 use dgs_hypergraph::Update;
 use dgs_obs::{Counter, Histogram, MetricsSink};
 use dgs_sketch::{SketchError, SketchResult};
@@ -486,6 +493,10 @@ pub struct Recovered<T> {
     pub wal_torn_bytes: u64,
     /// WAL records replayed on top of the starting point.
     pub replayed: u64,
+    /// WAL segments read end to end: those holding the replayed records
+    /// and the final one. Segments wholly before the starting snapshot are
+    /// read no further than their headers.
+    pub wal_segments_read: usize,
 }
 
 /// Metric handles for the recovery ladder; null (free) by default.
@@ -587,11 +598,6 @@ impl RecoveryDriver {
         F: FnOnce(usize, usize) -> T,
     {
         let offsets = self.store.offsets()?;
-        let wal = match read_wal(&self.wal_dir) {
-            Ok(replay) => Some(replay),
-            Err(WalError::Empty { .. }) => None,
-            Err(e) => return Err(e.into()),
-        };
         let mut defects: Vec<String> = Vec::new();
         for &snap_offset in offsets.iter().rev() {
             if let Some(c) = cap {
@@ -612,55 +618,73 @@ impl RecoveryDriver {
             // A snapshot ahead of the durable log is still authoritative at
             // its own offset: the records it absorbed were durable when it
             // was written, even if their WAL frames were later torn away.
-            // The replayed tail itself is also capped: mid-flush the log
-            // already holds records the ensemble has not applied yet, and a
-            // capped rebuild must stop exactly at the applied offset.
-            let (tail, replayed): (&[Update], u64) = match &wal {
-                Some(replay) if (replay.updates.len() as u64) > snap_offset => {
-                    let end = cap.map_or(replay.updates.len(), |c| {
-                        replay.updates.len().min(c as usize)
-                    });
-                    let tail = &replay.updates[snap_offset as usize..end];
-                    (tail, tail.len() as u64)
-                }
-                _ => (&[], 0),
+            // The tail read then holds no records.
+            let wal = match read_wal_from(&self.wal_dir, snap_offset) {
+                Ok(replay) => Some(replay),
+                Err(WalError::Empty { .. }) => None,
+                Err(e) => return Err(e.into()),
             };
-            let mut sketch = sketch;
-            replay_into(&mut sketch, tail, snap_offset)?;
-            return Ok(Recovered {
-                sketch,
-                offset: snap_offset + replayed,
-                from_snapshot: Some(snap_offset),
-                snapshot_defects: defects,
-                wal_torn_bytes: wal.as_ref().map_or(0, |r| r.torn_bytes_dropped),
-                replayed,
-            });
+            return replay_tail(sketch, Some(snap_offset), wal, cap, defects);
         }
         // No usable snapshot: full-log replay into a fresh sketch.
-        let Some(replay) = wal else {
-            return Err(RecoveryError::NoState {
-                detail: format!(
-                    "no valid snapshot in {} ({} rejected) and no wal segments in {}",
-                    self.store.dir().display(),
-                    defects.len(),
-                    self.wal_dir.display()
-                ),
-            });
+        let replay = match read_wal_from(&self.wal_dir, 0) {
+            Ok(replay) => replay,
+            Err(WalError::Empty { .. }) => {
+                return Err(RecoveryError::NoState {
+                    detail: format!(
+                        "no valid snapshot in {} ({} rejected) and no wal segments in {}",
+                        self.store.dir().display(),
+                        defects.len(),
+                        self.wal_dir.display()
+                    ),
+                })
+            }
+            Err(e) => return Err(e.into()),
         };
-        let mut sketch = fresh(replay.n, replay.max_rank);
-        let end = cap.map_or(replay.updates.len(), |c| {
-            replay.updates.len().min(c as usize)
-        });
-        replay_into(&mut sketch, &replay.updates[..end], 0)?;
-        Ok(Recovered {
-            offset: end as u64,
-            replayed: end as u64,
-            sketch,
-            from_snapshot: None,
-            snapshot_defects: defects,
-            wal_torn_bytes: replay.torn_bytes_dropped,
-        })
+        let sketch = fresh(replay.n, replay.max_rank);
+        replay_tail(sketch, None, Some(replay), cap, defects)
     }
+}
+
+/// Replays the records of `wal` (a read from the starting point's offset)
+/// onto `sketch`, stopping at `cap`. The cap bounds the replayed tail, not
+/// just snapshot selection: mid-flush the log already holds records the
+/// ensemble has not applied yet, and a capped rebuild must stop exactly at
+/// the applied offset.
+fn replay_tail<T: Recoverable>(
+    mut sketch: T,
+    from_snapshot: Option<u64>,
+    wal: Option<WalReplay>,
+    cap: Option<u64>,
+    snapshot_defects: Vec<String>,
+) -> Result<Recovered<T>, RecoveryError> {
+    let start = from_snapshot.unwrap_or(0);
+    let (tail, wal_torn_bytes, wal_segments_read) = match &wal {
+        Some(replay) => {
+            let end = cap.map_or(replay.updates.len(), |c| {
+                replay
+                    .updates
+                    .len()
+                    .min(c.saturating_sub(replay.first) as usize)
+            });
+            (
+                &replay.updates[..end],
+                replay.torn_bytes_dropped,
+                replay.segments,
+            )
+        }
+        None => (&[][..], 0, 0),
+    };
+    replay_into(&mut sketch, tail, start)?;
+    Ok(Recovered {
+        sketch,
+        offset: start + tail.len() as u64,
+        from_snapshot,
+        snapshot_defects,
+        wal_torn_bytes,
+        replayed: tail.len() as u64,
+        wal_segments_read,
+    })
 }
 
 /// WAL replay batch granularity: large enough to amortize the batched

@@ -63,3 +63,26 @@ pub use supervise::{
 pub use vertex_conn::{
     VertexConnCertificate, VertexConnConfig, VertexConnPlayerMessage, VertexConnSketch,
 };
+
+/// Checks edge `e` against `space`'s rank bound and vertex range, with the
+/// messages [`dgs_connectivity::SpanningForestSketch::validate_edge`] gives.
+pub(crate) fn validate_edge(
+    space: &dgs_hypergraph::EdgeSpace,
+    e: &dgs_hypergraph::HyperEdge,
+) -> dgs_sketch::SketchResult<()> {
+    use dgs_sketch::SketchError;
+    if e.cardinality() > space.max_rank() {
+        return Err(SketchError::invalid(format!(
+            "edge of rank {} exceeds the space's rank bound {}",
+            e.cardinality(),
+            space.max_rank()
+        )));
+    }
+    if let Some(&v) = e.vertices().iter().find(|&&v| (v as usize) >= space.n()) {
+        return Err(SketchError::invalid(format!(
+            "vertex {v} out of range for a {}-vertex edge space",
+            space.n()
+        )));
+    }
+    Ok(())
+}

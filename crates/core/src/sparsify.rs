@@ -129,8 +129,17 @@ impl HypergraphSparsifier {
     }
 
     /// The deepest subsample level edge `e` belongs to: `e ∈ G_i` for all
-    /// `i <= edge_level(e)`.
-    pub fn edge_level(&self, e: &HyperEdge) -> usize {
+    /// `i <= try_edge_level(e)`. An edge above the rank bound or outside
+    /// the vertex range is [`SketchError::InvalidInput`], with the message
+    /// [`try_update`](Self::try_update) gives for it.
+    pub fn try_edge_level(&self, e: &HyperEdge) -> SketchResult<usize> {
+        crate::validate_edge(&self.space, e)?;
+        Ok(self.level_of(e))
+    }
+
+    /// [`try_edge_level`](Self::try_edge_level) for an edge already
+    /// validated against the space.
+    fn level_of(&self, e: &HyperEdge) -> usize {
         self.level_hash
             .level(self.space.rank(e), self.cfg.levels - 1)
     }
@@ -141,7 +150,7 @@ impl HypergraphSparsifier {
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
         self.levels[0].try_update(e, delta)?;
-        for i in 1..=self.edge_level(e) {
+        for i in 1..=self.level_of(e) {
             self.levels[i].try_update(e, delta)?;
         }
         Ok(())
@@ -167,8 +176,10 @@ impl HypergraphSparsifier {
             for f in &recovered {
                 // F_j ∩ G_i: previously recovered edges that also survived
                 // into this level's subsample.
-                for e in f.iter().filter(|e| self.edge_level(e) >= i) {
-                    adjusted.try_update(e, -1)?;
+                for e in f {
+                    if self.try_edge_level(e)? >= i {
+                        adjusted.try_update(e, -1)?;
+                    }
                 }
             }
             let rec = adjusted.try_recover()?;
@@ -520,7 +531,7 @@ mod tests {
         for u in 0..n as u32 {
             for v in (u + 1)..n as u32 {
                 total += 1;
-                if sp.edge_level(&HyperEdge::pair(u, v)) >= 1 {
+                if sp.try_edge_level(&HyperEdge::pair(u, v)).unwrap() >= 1 {
                     level0 += 1;
                 }
             }
@@ -562,5 +573,23 @@ mod tests {
             HypergraphSparsifier::try_player_message(&space, &cfg, &seeds, 0, &[]).unwrap();
         msg.per_level.pop();
         assert!(invalid(sp.try_install_player(msg)));
+    }
+
+    #[test]
+    fn edge_level_of_a_bad_edge_is_the_error_try_update_gives() {
+        let space = EdgeSpace::graph(6).unwrap();
+        let forest = ForestParams::new(Profile::Practical, space.dimension());
+        let cfg = SparsifierConfig::explicit(2, 4, forest);
+        let mut sp = HypergraphSparsifier::new(space, cfg, &SeedTree::new(811));
+        for bad in [
+            HyperEdge::pair(0, 9),
+            HyperEdge::pair(7, 9),
+            HyperEdge::new(vec![0, 1, 2]).unwrap(),
+        ] {
+            let level = sp.try_edge_level(&bad).unwrap_err();
+            assert!(matches!(level, SketchError::InvalidInput { .. }), "{level}");
+            assert_eq!(sp.try_update(&bad, 1).unwrap_err(), level);
+        }
+        assert!(sp.try_edge_level(&HyperEdge::pair(0, 5)).unwrap() < cfg.levels);
     }
 }

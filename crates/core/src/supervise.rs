@@ -533,6 +533,23 @@ struct Shard<S> {
     last_error: Option<String>,
 }
 
+impl<S> Shard<S> {
+    /// A healthy shard `i` over `store`, holding `sketch`.
+    fn new(cfg: &SupervisorConfig, i: usize, store: CheckpointStore, sketch: S) -> Shard<S> {
+        Shard {
+            sketch: Arc::new(sketch),
+            health: ShardState::Healthy,
+            store,
+            backoff: Backoff::new(cfg.backoff, shard_seed(cfg.seed, i)),
+            fault: None,
+            suspect_streak: 0,
+            quarantined_flushes: 0,
+            decode_incidents: 0,
+            last_error: None,
+        }
+    }
+}
+
 impl<S: Recoverable + Clone> Shard<S> {
     /// Applies `batch[pos..]`, honoring an injected fault first. Preserves
     /// the applied-prefix contract of [`Recoverable::apply_batch`]: on
@@ -746,7 +763,8 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         let snap_root = snap_root.into();
         let mut shards = Vec::with_capacity(cfg.repetitions);
         for i in 0..cfg.repetitions {
-            shards.push(Self::fresh_shard(&snap_root, &cfg, i, build(i))?);
+            let store = Self::open_store(&snap_root, &cfg, i)?;
+            shards.push(Shard::new(&cfg, i, store, build(i)));
         }
         Ok(SupervisedIngestor {
             cfg,
@@ -771,6 +789,13 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     /// history the resumed log is about to diverge from), and rebuilds
     /// every shard to exactly the durable offset. Returns the ingestor and
     /// that offset.
+    ///
+    /// Each shard runs the recovery ladder on its own: its newest valid
+    /// snapshot plus the log read from that snapshot on, so `build(i)` is
+    /// called only for a shard that replays from offset 0 (no acceptable
+    /// snapshot, or an empty log). The shards are independent failure
+    /// domains, recovered in `cfg.threads` stripes by [`dgs_pool::stripe`];
+    /// a panic in one shard's recovery is that shard's typed error.
     pub fn resume<F>(
         wal_dir: impl Into<PathBuf>,
         snap_root: impl Into<PathBuf>,
@@ -785,39 +810,36 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         Self::validate(&cfg);
         let wal_dir = wal_dir.into();
         let snap_root = snap_root.into();
-        let (wal, replay) = WalWriter::resume(&wal_dir, n, max_rank, cfg.checkpoint.wal)?;
-        let durable = replay.updates.len() as u64;
-        let mut shards = Vec::with_capacity(cfg.repetitions);
+        // Each shard reads its own tail below.
+        let wal = WalWriter::resume(&wal_dir, n, max_rank, cfg.checkpoint.wal)?;
+        let durable = wal.offset();
+        let build: Box<ShardBuilder<S>> = Box::new(build);
+        let mut stores = Vec::with_capacity(cfg.repetitions);
         for i in 0..cfg.repetitions {
-            let mut shard = Self::fresh_shard(&snap_root, &cfg, i, build(i))?;
-            shard
-                .store
-                .purge_after(durable)
-                .map_err(|e| e.in_shard(i))?;
-            if durable > 0 {
-                let driver = RecoveryDriver::new(&wal_dir, shard.store.clone());
-                let rec = driver
-                    .recover_capped(Some(durable), |_, _| build(i))
-                    .map_err(|e| e.in_shard(i))?;
-                if rec.offset != durable {
-                    return Err(RecoveryError::NoState {
-                        detail: format!(
-                            "recovered to offset {} but the durable log holds {durable}",
-                            rec.offset
-                        ),
-                    }
-                    .in_shard(i));
-                }
-                shard.sketch = Arc::new(rec.sketch);
-            }
-            shards.push(shard);
+            let store = Self::open_store(&snap_root, &cfg, i)?;
+            store.purge_after(durable).map_err(|e| e.in_shard(i))?;
+            stores.push((i, store));
+        }
+        let sketches = dgs_pool::stripe(
+            &mut stores,
+            cfg.threads,
+            None,
+            |(i, store)| recover_shard(&wal_dir, store, *i, durable, &*build),
+            |(i, _)| {
+                let error = SketchError::failure("supervise", "recovery worker panicked");
+                Err(RecoveryError::Sketch(error).in_shard(*i))
+            },
+        );
+        let mut shards = Vec::with_capacity(cfg.repetitions);
+        for ((i, store), sketch) in stores.into_iter().zip(sketches) {
+            shards.push(Shard::new(&cfg, i, store, sketch?));
         }
         let ingestor = SupervisedIngestor {
             cfg,
             wal_dir,
             wal,
             shards,
-            build: Box::new(build),
+            build,
             buffer: Vec::with_capacity(cfg.batch_size),
             since_snapshot: 0,
             since_scrub: 0,
@@ -841,28 +863,17 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
         );
     }
 
-    fn fresh_shard(
+    /// Opens shard `i`'s snapshot store under `snap_root`.
+    fn open_store(
         snap_root: &Path,
         cfg: &SupervisorConfig,
         i: usize,
-        sketch: S,
-    ) -> Result<Shard<S>, RecoveryError> {
-        let store = CheckpointStore::open(
+    ) -> Result<CheckpointStore, RecoveryError> {
+        CheckpointStore::open(
             snap_root.join(format!("shard-{i:03}")),
             shard_seed(cfg.checkpoint.snapshot_seed, i),
         )
-        .map_err(|e| e.in_shard(i))?;
-        Ok(Shard {
-            sketch: Arc::new(sketch),
-            health: ShardState::Healthy,
-            store,
-            backoff: Backoff::new(cfg.backoff, shard_seed(cfg.seed, i)),
-            fault: None,
-            suspect_streak: 0,
-            quarantined_flushes: 0,
-            decode_incidents: 0,
-            last_error: None,
-        })
+        .map_err(|e| e.in_shard(i))
     }
 
     /// Attach metric handles resolved from `sink` (`dgs_core_supervise_*`
@@ -1158,20 +1169,7 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     /// Runs the recovery ladder for shard `i` up to offset `cap` (the WAL
     /// must already be synced to `cap`).
     fn rebuild_to(&self, i: usize, cap: u64) -> Result<S, RecoveryError> {
-        let driver = RecoveryDriver::new(&self.wal_dir, self.shards[i].store.clone());
-        let rec = driver
-            .recover_capped(Some(cap), |_, _| (self.build)(i))
-            .map_err(|e| e.in_shard(i))?;
-        if rec.offset != cap {
-            return Err(RecoveryError::NoState {
-                detail: format!(
-                    "rebuilt to offset {} but the ensemble is at {cap}",
-                    rec.offset
-                ),
-            }
-            .in_shard(i));
-        }
-        Ok(rec.sketch)
+        recover_shard(&self.wal_dir, &self.shards[i].store, i, cap, &*self.build)
     }
 
     /// Rebuilds shard `i` purely from the WAL (no snapshots), up to offset
@@ -1449,6 +1447,31 @@ impl<S: Recoverable + Clone + Send + Sync> SupervisedIngestor<S> {
     }
 }
 
+/// Recovers shard `i` from `store` and the log in `wal_dir` to exactly
+/// offset `cap`: its newest valid snapshot at or below `cap` plus the log
+/// read from that snapshot on, or `build(i)` plus the whole log.
+fn recover_shard<S: Recoverable>(
+    wal_dir: &Path,
+    store: &CheckpointStore,
+    i: usize,
+    cap: u64,
+    build: &ShardBuilder<S>,
+) -> Result<S, RecoveryError> {
+    let rec = RecoveryDriver::new(wal_dir, store.clone())
+        .recover_capped(Some(cap), |_, _| build(i))
+        .map_err(|e| e.in_shard(i))?;
+    if rec.offset != cap {
+        return Err(RecoveryError::NoState {
+            detail: format!(
+                "recovered to offset {} but the ensemble is at {cap}",
+                rec.offset
+            ),
+        }
+        .in_shard(i));
+    }
+    Ok(rec.sketch)
+}
+
 /// Canonical byte encoding of a sketch, for byte-identity comparison.
 fn encoded<T: Codec>(t: &T) -> Vec<u8> {
     let mut w = Writer::new();
@@ -1467,7 +1490,7 @@ mod tests {
     use dgs_hypergraph::generators::{churn_stream, gnp, ChurnConfig};
     use dgs_hypergraph::{EdgeSpace, HyperEdge, Hypergraph};
     use dgs_sketch::Profile;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn tmpdir(label: &str) -> PathBuf {
         static UNIQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -1998,6 +2021,70 @@ mod tests {
         }
         std::fs::remove_dir_all(&wal).unwrap();
         std::fs::remove_dir_all(&snap).unwrap();
+    }
+
+    /// `resume` builds a shard only when it replays from offset 0: never
+    /// when every shard has a valid snapshot, once per shard when none has.
+    #[test]
+    fn resume_builds_only_the_shards_that_replay_the_whole_log() {
+        let stream = workload(16, 150);
+        let reference = reference_shards(&stream, 3);
+        for (snapshot_interval, builds) in [(64, 0), (u64::MAX, 3)] {
+            let (wal, snap) = (tmpdir("builds-wal"), tmpdir("builds-snap"));
+            let mut cfg = cfg(16);
+            cfg.checkpoint.snapshot_interval = snapshot_interval;
+            let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, forest).unwrap();
+            sup.ingest_stream(&stream).unwrap();
+            sup.flush().unwrap();
+            drop(sup); // crash
+            let calls = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&calls);
+            let (sup, durable) = SupervisedIngestor::resume(&wal, &snap, N, 2, cfg, move |i| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                forest(i)
+            })
+            .unwrap();
+            assert_eq!(durable, 150);
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                builds,
+                "snapshot interval {snapshot_interval}"
+            );
+            for (i, want) in reference.iter().enumerate() {
+                assert_eq!(&sup.shard_encoded(i), want, "shard {i}");
+            }
+            std::fs::remove_dir_all(&wal).unwrap();
+            std::fs::remove_dir_all(&snap).unwrap();
+        }
+    }
+
+    /// A panic while one shard recovers is that shard's typed error at
+    /// every thread count, as a panic in the flush is: `resume` never
+    /// unwinds.
+    #[test]
+    fn a_panicking_build_during_resume_is_a_typed_shard_error() {
+        let stream = workload(17, 60);
+        for threads in [1, 2] {
+            let (wal, snap) = (tmpdir("panic-wal"), tmpdir("panic-snap"));
+            let mut cfg = cfg(17);
+            cfg.threads = threads;
+            // No snapshot: every shard replays the whole log into `build(i)`.
+            cfg.checkpoint.snapshot_interval = u64::MAX;
+            let mut sup = SupervisedIngestor::create(&wal, &snap, N, 2, cfg, forest).unwrap();
+            sup.ingest_stream(&stream).unwrap();
+            sup.flush().unwrap();
+            drop(sup); // crash
+            let resumed = SupervisedIngestor::resume(&wal, &snap, N, 2, cfg, |i| {
+                assert_ne!(i, 1, "shard 1 cannot be built");
+                forest(i)
+            });
+            match resumed.map(|(_, durable)| durable) {
+                Err(RecoveryError::Shard { shard: 1, .. }) => {}
+                other => panic!("threads {threads}: expected a shard-1 error, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&wal).unwrap();
+            std::fs::remove_dir_all(&snap).unwrap();
+        }
     }
 
     #[test]

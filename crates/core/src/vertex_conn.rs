@@ -151,20 +151,8 @@ impl VertexConnSketch {
     /// subgraph sketch is touched.
     #[must_use = "a dropped SketchResult hides a sketch failure"]
     pub fn try_update(&mut self, e: &HyperEdge, delta: i64) -> SketchResult<()> {
-        if e.cardinality() > self.space.max_rank() {
-            return Err(SketchError::invalid(format!(
-                "edge of rank {} exceeds the space's rank bound {}",
-                e.cardinality(),
-                self.space.max_rank()
-            )));
-        }
+        crate::validate_edge(&self.space, e)?;
         let vs = e.vertices();
-        if let Some(&v) = vs.iter().find(|&&v| (v as usize) >= self.space.n()) {
-            return Err(SketchError::invalid(format!(
-                "vertex {v} out of range for a {}-vertex edge space",
-                self.space.n()
-            )));
-        }
         // Intersect the sorted membership lists of all endpoints.
         let mut common: Vec<u32> = self.membership[vs[0] as usize].clone();
         for &v in &vs[1..] {

@@ -54,7 +54,7 @@ pub use fault::{
 pub use graph::Graph;
 pub use hypergraph::{Hypergraph, WeightedHypergraph};
 pub use stream::{Op, Update, UpdateStream};
-pub use wal::{read_wal, WalConfig, WalError, WalReplay, WalWriter};
+pub use wal::{read_wal, read_wal_from, WalConfig, WalError, WalReplay, WalWriter};
 
 /// Vertices are dense integer ids in `[0, n)`.
 pub type VertexId = u32;

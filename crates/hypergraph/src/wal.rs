@@ -32,14 +32,22 @@
 //!   garbage in the **last** segment — is expected after a crash:
 //!   [`read_wal`] truncates to the last valid frame and reports the dropped
 //!   byte count in [`WalReplay::torn_bytes_dropped`]. Never a panic.
-//! * Any corruption in a **sealed** (non-final) segment is not a crash
-//!   artifact and surfaces as [`WalError::Corrupt`].
+//! * Any corruption in a **sealed** (non-final) segment that a read
+//!   validates is not a crash artifact and surfaces as
+//!   [`WalError::Corrupt`]. A full read ([`read_wal`]) validates every
+//!   segment end to end.
+//! * A tail read ([`read_wal_from`]) validates end to end only the segments
+//!   holding records at or past its `from` offset. A segment wholly before
+//!   `from` is read no further than its header frame, so damage in its
+//!   record region waits for the next full read to be found.
 //! * [`WalWriter::resume`] reopens an existing log after a crash: it
 //!   physically truncates the torn tail, seals the final segment with a
-//!   recomputed fingerprint trailer, and continues in a fresh segment.
+//!   recomputed fingerprint trailer, and continues in a fresh segment. It
+//!   reads only the final segment end to end, as a tail read from the
+//!   durable end does.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use dgs_field::{Codec, Fingerprinter, Fp, Reader, SeedTree, Writer};
@@ -57,6 +65,13 @@ const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
 const TAG_RECORD: u8 = 0;
 const TAG_TRAILER: u8 = 1;
 const TAG_HEADER: u8 = 2;
+
+/// Frame prefix: payload length `u32` plus checksum `u64`.
+const FRAME_PREFIX: usize = 12;
+
+/// Magic plus header frame (tag and four `u64` fields): the bytes a tail
+/// read takes from a segment it skips.
+const HEADER_BYTES: usize = SEGMENT_MAGIC.len() + FRAME_PREFIX + 33;
 
 /// A typed write-ahead-log failure. Corrupt bytes are reported, never
 /// panicked on.
@@ -195,34 +210,27 @@ impl WalWriter {
         Self::open_segment(dir, n, max_rank, cfg, 0, 0)
     }
 
-    /// Reopens an existing log after a crash: validates it, physically
-    /// truncates any torn tail, seals the final segment, and continues in a
-    /// fresh segment. Returns the writer positioned after the last durable
-    /// record, plus the replay of everything recovered. An empty or absent
+    /// Reopens an existing log after a crash: physically truncates any torn
+    /// tail, seals the final segment, and continues in a fresh segment.
+    /// Returns the writer positioned after the last durable record, so
+    /// [`WalWriter::offset`] is the durable end. Only the final segment
+    /// (and the one before it when the final header never hit the disk) is
+    /// read end to end; earlier segments are read no further than their
+    /// headers, and [`read_wal`] validates them. An empty or absent
     /// directory degrades to [`WalWriter::create`].
     pub fn resume(
         dir: impl Into<PathBuf>,
         n: usize,
         max_rank: usize,
         cfg: WalConfig,
-    ) -> Result<(WalWriter, WalReplay), WalError> {
+    ) -> Result<WalWriter, WalError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let segments = list_segments(&dir)?;
         if segments.is_empty() {
-            let w = Self::create(dir, n, max_rank, cfg)?;
-            return Ok((
-                w,
-                WalReplay {
-                    n,
-                    max_rank,
-                    updates: Vec::new(),
-                    segments: 0,
-                    torn_bytes_dropped: 0,
-                },
-            ));
+            return Self::create(dir, n, max_rank, cfg);
         }
-        let scan = scan_segments(&dir, &segments)?;
+        let scan = scan_segments(&dir, &segments, u64::MAX)?;
         if scan.replay.n != n || scan.replay.max_rank != max_rank {
             return Err(WalError::Corrupt {
                 segment: 0,
@@ -234,13 +242,12 @@ impl WalWriter {
         }
         let last_index = segments.len() as u64 - 1;
         let last_path = segment_path(&dir, last_index);
-        let offset = scan.replay.updates.len() as u64;
+        let offset = scan.replay.first + scan.replay.updates.len() as u64;
         if scan.last_wholly_torn {
             // The final segment never got a valid header: delete the debris
             // and reuse its index.
             fs::remove_file(&last_path).map_err(|e| io_err(&last_path, e))?;
-            let writer = Self::open_segment(dir, n, max_rank, cfg, last_index, offset)?;
-            return Ok((writer, scan.replay));
+            return Self::open_segment(dir, n, max_rank, cfg, last_index, offset);
         }
         // Drop the torn tail from disk, then seal with the recomputed
         // fingerprint so the segment passes the strict (non-final) checks
@@ -261,8 +268,7 @@ impl WalWriter {
                 .map_err(|e| io_err(&last_path, e))?;
             file.sync_all().map_err(|e| io_err(&last_path, e))?;
         }
-        let writer = Self::open_segment(dir, n, max_rank, cfg, last_index + 1, offset)?;
-        Ok((writer, scan.replay))
+        Self::open_segment(dir, n, max_rank, cfg, last_index + 1, offset)
     }
 
     fn open_segment(
@@ -411,9 +417,13 @@ pub struct WalReplay {
     pub n: usize,
     /// Rank bound declared in the segment headers.
     pub max_rank: usize,
-    /// Every durable update, in append order.
+    /// Stream offset of `updates[0]`: the offset the read started from, or
+    /// the durable end of the log when that comes first (0 on a full read).
+    pub first: u64,
+    /// Every durable update from offset `first` on, in append order.
     pub updates: Vec<Update>,
-    /// Number of segment files read.
+    /// Number of segment files read end to end (all of them on a full
+    /// read).
     pub segments: usize,
     /// Bytes discarded from the final segment's torn tail (0 after a clean
     /// shutdown).
@@ -481,7 +491,22 @@ struct Scan {
 
 /// Reads and validates the whole log. Torn tails in the final segment are
 /// truncated (and reported); corruption anywhere else is a typed error.
+/// This is [`read_wal_from`] at offset 0.
 pub fn read_wal(dir: impl AsRef<Path>) -> Result<WalReplay, WalError> {
+    read_wal_from(dir, 0)
+}
+
+/// Reads the durable records from stream offset `from` on, with
+/// [`WalReplay::first`] = `min(from, durable end)`.
+///
+/// Every segment holding a record at or past `from` is validated end to
+/// end, exactly as [`read_wal`] validates it: frame checksums, fingerprint
+/// trailer, a torn tail only in the final segment. A segment whose records
+/// all lie before `from` is read no further than its header frame (magic,
+/// frame checksum, stream parameters, a base offset no smaller than the
+/// previous segment's), so damage in its record region is not detected
+/// here. `from = 0` is a full read.
+pub fn read_wal_from(dir: impl AsRef<Path>, from: u64) -> Result<WalReplay, WalError> {
     let dir = dir.as_ref();
     let segments = list_segments(dir)?;
     if segments.is_empty() {
@@ -489,23 +514,82 @@ pub fn read_wal(dir: impl AsRef<Path>) -> Result<WalReplay, WalError> {
             dir: dir.display().to_string(),
         });
     }
-    Ok(scan_segments(dir, &segments)?.replay)
+    Ok(scan_segments(dir, &segments, from)?.replay)
 }
 
-fn scan_segments(dir: &Path, segments: &[u64]) -> Result<Scan, WalError> {
+/// Index of the first segment a read from `from` validates end to end.
+/// Segment `k` is skipped iff segment `k + 1` starts at or before `from`,
+/// so the headers are walked in order up to the first one that starts past
+/// `from`. Every header walked must describe the same stream as the one
+/// before it, at a base offset no smaller. A full read skips nothing.
+fn first_scanned_segment(dir: &Path, segments: &[u64], from: u64) -> Result<usize, WalError> {
+    if from == 0 {
+        return Ok(0);
+    }
+    let last = segments.len() - 1;
+    let mut prev: Option<SegmentHeader> = None;
+    for (k, &seg) in segments.iter().enumerate() {
+        // A torn final header: the segment before it is the last one that
+        // can hold records.
+        let Some(header) = probe_header(dir, seg, k == last)? else {
+            return Ok(k.saturating_sub(1));
+        };
+        if let Some(p) = &prev {
+            if (header.n, header.max_rank) != (p.n, p.max_rank) || header.base < p.base {
+                return Err(WalError::Corrupt {
+                    segment: seg,
+                    detail: format!(
+                        "header declares a ({}, {})-stream from offset {}, after segment {}'s ({}, {})-stream from offset {}",
+                        header.n, header.max_rank, header.base, k - 1, p.n, p.max_rank, p.base
+                    ),
+                });
+            }
+            if header.base > from {
+                return Ok(k - 1);
+            }
+        }
+        prev = Some(header);
+    }
+    Ok(last)
+}
+
+/// The header of segment `seg`, read without the rest of the file.
+/// `Ok(None)` when the final segment's header is torn: crash debris that
+/// [`scan_one_segment`] tolerates too.
+fn probe_header(dir: &Path, seg: u64, is_last: bool) -> Result<Option<SegmentHeader>, WalError> {
+    let path = segment_path(dir, seg);
+    let mut bytes = Vec::with_capacity(HEADER_BYTES);
+    fs::File::open(&path)
+        .and_then(|f| f.take(HEADER_BYTES as u64).read_to_end(&mut bytes))
+        .map_err(|e| io_err(&path, e))?;
+    match parse_header(&bytes) {
+        Ok((header, _)) => Ok(Some(header)),
+        Err(HeaderDefect::Torn(_)) if is_last => Ok(None),
+        Err(HeaderDefect::Torn(detail) | HeaderDefect::Corrupt(detail)) => Err(WalError::Corrupt {
+            segment: seg,
+            detail,
+        }),
+    }
+}
+
+fn scan_segments(dir: &Path, segments: &[u64], from: u64) -> Result<Scan, WalError> {
+    let start = first_scanned_segment(dir, segments, from)?;
     let mut updates = Vec::new();
     let mut stream_params: Option<(usize, usize)> = None;
+    // Stream offset of the next record. When earlier segments were
+    // skipped, the first segment read declares its own base.
+    let mut offset = (start == 0).then_some(0u64);
     let mut torn_bytes = 0u64;
     let mut last_valid_len = 0u64;
     let mut last_sealed = false;
     let mut last_count = 0u64;
     let mut last_fp = Fp::ZERO;
     let mut last_wholly_torn = false;
-    for (i, &seg) in segments.iter().enumerate() {
+    for (i, &seg) in segments.iter().enumerate().skip(start) {
         let is_last = i + 1 == segments.len();
         let path = segment_path(dir, seg);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-        let seg_scan = match scan_one_segment(&bytes, seg, is_last, updates.len() as u64)? {
+        let seg_scan = match scan_one_segment(&bytes, seg, is_last, offset)? {
             Some(s) => s,
             None => {
                 // The final segment's header never hit the disk (crash
@@ -523,14 +607,17 @@ fn scan_segments(dir: &Path, segments: &[u64]) -> Result<Scan, WalError> {
                     return Err(WalError::Corrupt {
                         segment: seg,
                         detail: format!(
-                            "stream params ({}, {}) disagree with segment 0's ({n}, {r})",
-                            seg_scan.n, seg_scan.max_rank
+                            "stream params ({}, {}) disagree with segment {}'s ({n}, {r})",
+                            seg_scan.n, seg_scan.max_rank, segments[start]
                         ),
                     });
                 }
             }
         }
-        updates.extend(seg_scan.updates);
+        offset = Some(seg_scan.base + seg_scan.count);
+        // Records before `from` are validated but not returned.
+        let before_from = from.saturating_sub(seg_scan.base).min(seg_scan.count);
+        updates.extend(seg_scan.updates.into_iter().skip(before_from as usize));
         if is_last {
             torn_bytes = seg_scan.torn_bytes;
             last_valid_len = seg_scan.valid_len;
@@ -539,13 +626,19 @@ fn scan_segments(dir: &Path, segments: &[u64]) -> Result<Scan, WalError> {
             last_fp = seg_scan.fp_acc;
         }
     }
-    let (n, max_rank) = stream_params.expect("at least one readable segment");
+    let (Some((n, max_rank)), Some(end)) = (stream_params, offset) else {
+        return Err(WalError::Corrupt {
+            segment: segments[start],
+            detail: "no readable segment header".into(),
+        });
+    };
     Ok(Scan {
         replay: WalReplay {
             n,
             max_rank,
+            first: from.min(end),
             updates,
-            segments: segments.len(),
+            segments: segments.len() - start,
             torn_bytes_dropped: torn_bytes,
         },
         last_valid_len,
@@ -556,9 +649,79 @@ fn scan_segments(dir: &Path, segments: &[u64]) -> Result<Scan, WalError> {
     })
 }
 
+/// A segment's header frame.
+struct SegmentHeader {
+    n: usize,
+    max_rank: usize,
+    /// Stream offset of the segment's first record.
+    base: u64,
+    /// Fingerprint point of the segment's trailer.
+    z: Fp,
+}
+
+enum HeaderDefect {
+    /// The magic or the header frame is cut short or fails its checksum.
+    Torn(String),
+    /// The header frame is intact but what it says is invalid.
+    Corrupt(String),
+}
+
+/// Parses the magic and the header frame at the front of a segment's
+/// bytes; returns the header and the position just past it.
+fn parse_header(bytes: &[u8]) -> Result<(SegmentHeader, usize), HeaderDefect> {
+    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+        return Err(HeaderDefect::Torn("bad segment magic".into()));
+    }
+    let mut pos = SEGMENT_MAGIC.len();
+    let Some(payload) = next_frame(bytes, &mut pos) else {
+        return Err(HeaderDefect::Torn("segment header torn or corrupt".into()));
+    };
+    let mut r = Reader::new(payload);
+    let parse = |e: dgs_field::CodecError| HeaderDefect::Corrupt(format!("header: {e}"));
+    if r.get_u8().map_err(parse)? != TAG_HEADER {
+        return Err(HeaderDefect::Corrupt("first frame is not a header".into()));
+    }
+    let n = r.get_u64().map_err(parse)? as usize;
+    let max_rank = r.get_u64().map_err(parse)? as usize;
+    let base = r.get_u64().map_err(parse)?;
+    let z = Fp::new(r.get_u64().map_err(parse)?);
+    r.expect_end().map_err(parse)?;
+    if z.is_zero() || z == Fp::ONE {
+        return Err(HeaderDefect::Corrupt("degenerate fingerprint point".into()));
+    }
+    let header = SegmentHeader {
+        n,
+        max_rank,
+        base,
+        z,
+    };
+    Ok((header, pos))
+}
+
+/// The checksum-verified payload of the frame at `*pos`, advancing `pos`
+/// past it; `None` on a torn or corrupt frame boundary (the caller decides
+/// whether torn is tolerable).
+fn next_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let start = *pos;
+    let prefix = bytes.get(start..start + FRAME_PREFIX)?;
+    let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
+    if len > MAX_FRAME_PAYLOAD {
+        return None;
+    }
+    let declared = u64::from_le_bytes(prefix[4..].try_into().expect("8 bytes"));
+    let end = start + FRAME_PREFIX + len as usize;
+    let payload = bytes.get(start + FRAME_PREFIX..end)?;
+    if fnv1a64(payload) != declared {
+        return None;
+    }
+    *pos = end;
+    Some(payload)
+}
+
 struct SegmentScan {
     n: usize,
     max_rank: usize,
+    base: u64,
     updates: Vec<Update>,
     torn_bytes: u64,
     valid_len: u64,
@@ -568,73 +731,40 @@ struct SegmentScan {
 }
 
 /// Validates one segment's bytes. `is_last` selects torn-tail tolerance;
-/// sealed segments must validate end to end, trailer included. `Ok(None)`
-/// means the final segment's header itself was torn (only legal when a
-/// prior segment exists to supply the stream parameters).
+/// sealed segments must validate end to end, trailer included. The header
+/// must declare `expected_base` as its base offset when that is known.
+/// `Ok(None)` means the final segment's header itself was torn (only legal
+/// when a prior segment exists to supply the stream parameters).
 fn scan_one_segment(
     bytes: &[u8],
     seg: u64,
     is_last: bool,
-    base_offset: u64,
+    expected_base: Option<u64>,
 ) -> Result<Option<SegmentScan>, WalError> {
     let corrupt = |detail: String| WalError::Corrupt {
         segment: seg,
         detail,
     };
-    // A final segment whose magic or header frame is damaged is crash
-    // debris from `open_segment` — tolerable when segment 0 still supplies
-    // the stream parameters; fatal otherwise.
-    let header_torn = |detail: String| {
-        if is_last && seg > 0 {
-            Ok(None)
-        } else {
-            Err(corrupt(detail))
+    let (header, mut pos) = match parse_header(bytes) {
+        Ok(parsed) => parsed,
+        // A final segment whose magic or header frame is damaged is crash
+        // debris from `open_segment` — tolerable when segment 0 still
+        // supplies the stream parameters; fatal otherwise.
+        Err(HeaderDefect::Torn(_)) if is_last && seg > 0 => return Ok(None),
+        Err(HeaderDefect::Torn(detail) | HeaderDefect::Corrupt(detail)) => {
+            return Err(corrupt(detail))
         }
     };
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return header_torn("bad segment magic".into());
-    }
-    let mut pos = SEGMENT_MAGIC.len();
-
-    // Pulls the next checksum-verified frame payload, or None on a torn /
-    // corrupt boundary (the caller decides whether torn is tolerable).
-    let next_frame = |pos: &mut usize| -> Option<Vec<u8>> {
-        let start = *pos;
-        let header = bytes.get(start..start + 12)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_PAYLOAD {
-            return None;
-        }
-        let declared = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let payload = bytes.get(start + 12..start + 12 + len as usize)?;
-        if fnv1a64(payload) != declared {
-            return None;
-        }
-        *pos = start + 12 + len as usize;
-        Some(payload.to_vec())
-    };
-
-    let header = match next_frame(&mut pos) {
-        Some(p) => p,
-        None => return header_torn("segment header torn or corrupt".into()),
-    };
-    let mut r = Reader::new(&header);
-    let parse = |e: dgs_field::CodecError| corrupt(format!("header: {e}"));
-    if r.get_u8().map_err(parse)? != TAG_HEADER {
-        return Err(corrupt("first frame is not a header".into()));
-    }
-    let n = r.get_u64().map_err(parse)? as usize;
-    let max_rank = r.get_u64().map_err(parse)? as usize;
-    let declared_base = r.get_u64().map_err(parse)?;
-    let z = Fp::new(r.get_u64().map_err(parse)?);
-    r.expect_end().map_err(parse)?;
-    if declared_base != base_offset {
+    let SegmentHeader {
+        n,
+        max_rank,
+        base,
+        z,
+    } = header;
+    if let Some(expected) = expected_base.filter(|&e| e != base) {
         return Err(corrupt(format!(
-            "header declares base offset {declared_base}, log position is {base_offset}"
+            "header declares base offset {base}, log position is {expected}"
         )));
-    }
-    if z.is_zero() || z == Fp::ONE {
-        return Err(corrupt("degenerate fingerprint point".into()));
     }
 
     let mut updates = Vec::new();
@@ -648,12 +778,13 @@ fn scan_one_segment(
             break; // clean unsealed end
         }
         let frame_start = pos;
-        let Some(payload) = next_frame(&mut pos) else {
+        let Some(payload) = next_frame(bytes, &mut pos) else {
             // Torn or corrupt frame boundary.
             if is_last {
                 return Ok(Some(SegmentScan {
                     n,
                     max_rank,
+                    base,
                     updates,
                     torn_bytes: (bytes.len() - frame_start) as u64,
                     valid_len,
@@ -672,7 +803,7 @@ fn scan_one_segment(
                 let mut r = Reader::new(&payload[1..]);
                 match Update::decode(&mut r).and_then(|u| r.expect_end().map(|()| u)) {
                     Ok(u) => {
-                        fp_acc = fp_acc.add(Fp::new(fnv1a64(&payload)).mul(zpow));
+                        fp_acc = fp_acc.add(Fp::new(fnv1a64(payload)).mul(zpow));
                         zpow = zpow.mul(z);
                         count += 1;
                         updates.push(u);
@@ -717,6 +848,7 @@ fn scan_one_segment(
                 return Ok(Some(SegmentScan {
                     n,
                     max_rank,
+                    base,
                     updates,
                     torn_bytes: (bytes.len() - pos) as u64,
                     valid_len,
@@ -734,6 +866,7 @@ fn scan_one_segment(
     Ok(Some(SegmentScan {
         n,
         max_rank,
+        base,
         updates,
         torn_bytes: 0,
         valid_len,
@@ -849,8 +982,8 @@ mod tests {
         let full = fs::read(&path).unwrap();
         fs::write(&path, truncated(&full, full.len() - 1)).unwrap();
 
-        let (mut w, replay) = WalWriter::resume(&dir, 16, 2, small_cfg()).unwrap();
-        assert_eq!(replay.updates, updates[..10]);
+        let mut w = WalWriter::resume(&dir, 16, 2, small_cfg()).unwrap();
+        assert_eq!(read_wal(&dir).unwrap().updates, updates[..10]);
         assert_eq!(w.offset(), 10);
         let more = sample_updates(3);
         for u in &more {
@@ -865,6 +998,74 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, with_bit_flipped(&bytes, 8 * 100)).unwrap();
         assert!(matches!(read_wal(&dir), Err(WalError::Corrupt { .. })));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tail_reads_return_the_suffix_and_skip_earlier_segments() {
+        let dir = tmpdir("tail");
+        // 8-record segments: 0..=4 sealed, 5 holds only its header.
+        let updates = sample_updates(40);
+        let mut w = WalWriter::create(&dir, 16, 2, small_cfg()).unwrap();
+        for u in &updates {
+            w.append(u).unwrap();
+        }
+        drop(w);
+        let full = read_wal(&dir).unwrap();
+        assert_eq!((full.first, full.segments), (0, 6));
+        let len = updates.len() as u64;
+        for from in 0..=len + 1 {
+            let tail = read_wal_from(&dir, from).unwrap();
+            let first = from.min(len);
+            assert_eq!(tail.first, first, "from {from}");
+            assert_eq!(tail.updates, full.updates[first as usize..], "from {from}");
+            // Segment k is skipped once segment k + 1 starts at or before
+            // `from`; the final segment is always read.
+            assert_eq!(tail.segments, 6 - (from as usize / 8).min(5), "from {from}");
+        }
+
+        // A final segment whose header never hit the disk holds nothing.
+        let path = segment_path(&dir, 5);
+        fs::write(&path, truncated(&fs::read(&path).unwrap(), 3)).unwrap();
+        let tail = read_wal_from(&dir, 30).unwrap();
+        assert_eq!(tail.updates, updates[30..]);
+        assert_eq!(tail.torn_bytes_dropped, 3);
+        // Resuming for the durable end reads no record before it.
+        let mut w = WalWriter::resume(&dir, 16, 2, small_cfg()).unwrap();
+        assert_eq!(w.offset(), len);
+        w.append(&updates[0]).unwrap();
+        drop(w);
+        let log = read_wal(&dir).unwrap().updates;
+        assert_eq!(log[..40], updates[..]);
+
+        // Damage in the record region of sealed segment 1 (records 8..16).
+        let path = segment_path(&dir, 1);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, with_bit_flipped(&bytes, 8 * (HEADER_BYTES + 4))).unwrap();
+        for from in 0..=log.len() + 1 {
+            match read_wal_from(&dir, from as u64) {
+                Ok(tail) if from >= 16 => {
+                    assert_eq!(tail.updates, log[from.min(log.len())..], "from {from}");
+                }
+                Err(WalError::Corrupt { segment: 1, .. }) if from < 16 => {}
+                other => panic!("from {from}: got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_wal(&dir),
+            Err(WalError::Corrupt { segment: 1, .. })
+        ));
+
+        // A skipped segment's header is still checked, whatever `from` is.
+        let path = segment_path(&dir, 0);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, with_bit_flipped(&bytes, 8 * (HEADER_BYTES - 1))).unwrap();
+        for from in 0..=log.len() + 1 {
+            match read_wal_from(&dir, from as u64) {
+                Err(WalError::Corrupt { segment: 0, .. }) => {}
+                other => panic!("from {from}: got {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

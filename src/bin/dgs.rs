@@ -19,6 +19,7 @@ use std::process::ExitCode;
 
 use dynamic_graph_streams::connectivity::BipartitenessSketch;
 use dynamic_graph_streams::core::EdgeConnSketch;
+use dynamic_graph_streams::hypergraph::encoding::binomial;
 use dynamic_graph_streams::hypergraph::generators;
 use dynamic_graph_streams::hypergraph::io::{read_stream, write_stream};
 use dynamic_graph_streams::prelude::*;
@@ -315,21 +316,47 @@ fn cmd_sparsify(args: &Args) {
     println!("sketch bytes: {}", sp.size_bytes());
 }
 
+/// Generates with the flags' generator, after checking the preconditions
+/// its generator asserts, so a bad flag is an `error:` line, not a panic.
 fn cmd_gen(args: &Args) {
     let kind = args.get("kind").unwrap_or("gnp");
     let n = args.usize_or("n", 16);
     let mut rng = StdRng::seed_from_u64(args.usize_or("seed", 42) as u64);
     let h = match kind {
-        "gnp" => Hypergraph::from_graph(&generators::gnp(n, args.f64_or("p", 0.3), &mut rng)),
-        "harary" => Hypergraph::from_graph(&generators::harary(args.usize_or("kappa", 3), n)),
+        "gnp" => {
+            let p = args.f64_or("p", 0.3);
+            if !(0.0..=1.0).contains(&p) {
+                die(&format!("--p must lie in [0, 1] (got {p})"));
+            }
+            Hypergraph::from_graph(&generators::gnp(n, p, &mut rng))
+        }
+        "harary" => {
+            let kappa = args.usize_or("kappa", 3);
+            if kappa == 0 || kappa >= n {
+                die(&format!(
+                    "--kappa must satisfy 1 <= kappa < n (got --kappa {kappa}, --n {n})"
+                ));
+            }
+            Hypergraph::from_graph(&generators::harary(kappa, n))
+        }
         "tree" => Hypergraph::from_graph(&generators::random_tree(n, &mut rng)),
         "grid" => Hypergraph::from_graph(&generators::grid(n, args.usize_or("h", 4))),
-        "hyper" => generators::random_uniform_hypergraph(
-            n,
-            args.usize_or("rank", 3),
-            args.usize_or("m", 2 * n),
-            &mut rng,
-        ),
+        "hyper" => {
+            let rank = args.usize_or("rank", 3);
+            if rank < 2 || rank > n {
+                die(&format!(
+                    "--rank must satisfy 2 <= rank <= n (got --rank {rank}, --n {n})"
+                ));
+            }
+            let m = args.usize_or("m", 2 * n);
+            let distinct = binomial(n as u64, rank as u64);
+            if m as u64 > distinct {
+                die(&format!(
+                    "--m {m} exceeds the {distinct} distinct rank-{rank} edges on {n} vertices"
+                ));
+            }
+            generators::random_uniform_hypergraph(n, rank, m, &mut rng)
+        }
         other => die(&format!(
             "unknown --kind {other} (gnp|harary|tree|grid|hyper)"
         )),

@@ -67,10 +67,10 @@ pub mod prelude {
     pub use dgs_field::prng::{Rng, SeedableRng, SliceRandom, StdRng};
     pub use dgs_field::SeedTree;
     pub use dgs_hypergraph::{
-        read_wal, Backoff, BackoffConfig, ChaosCampaign, ChaosEvent, ChaosFault, ChaosScheduler,
-        EdgeSpace, FaultClass, FaultInjector, Graph, GraphError, HyperEdge, Hypergraph,
-        LossyChannel, Op, Update, UpdateStream, WalConfig, WalError, WalReplay, WalWriter,
-        WeightedHypergraph,
+        read_wal, read_wal_from, Backoff, BackoffConfig, ChaosCampaign, ChaosEvent, ChaosFault,
+        ChaosScheduler, EdgeSpace, FaultClass, FaultInjector, Graph, GraphError, HyperEdge,
+        Hypergraph, LossyChannel, Op, Update, UpdateStream, WalConfig, WalError, WalReplay,
+        WalWriter, WeightedHypergraph,
     };
     pub use dgs_sketch::{L0Params, L0Sampler, Profile, SketchError, SketchResult};
 }

@@ -124,3 +124,39 @@ fn bad_flags_are_errors_not_panics() {
         );
     }
 }
+
+#[test]
+fn gen_rejects_flags_its_generators_cannot_take() {
+    for (flags, flag) in [
+        (
+            &["--kind", "harary", "--n", "16", "--kappa", "20"][..],
+            "--kappa",
+        ),
+        (&["--kind", "harary", "--kappa", "0"], "--kappa"),
+        (&["--kind", "gnp", "--p", "2.0"], "--p"),
+        (&["--kind", "gnp", "--p", "-0.5"], "--p"),
+        (&["--kind", "hyper", "--n", "3", "--rank", "5"], "--rank"),
+        (&["--kind", "hyper", "--rank", "1"], "--rank"),
+        (
+            &["--kind", "hyper", "--n", "4", "--rank", "3", "--m", "10"],
+            "--m",
+        ),
+    ] {
+        let out = dgs(&[&["gen"], flags].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(
+            err.lines()
+                .any(|l| l.starts_with("error:") && l.contains(flag)),
+            "{flags:?}: {err}"
+        );
+    }
+    // The boundary values still generate.
+    for flags in [
+        &["--kind", "harary", "--n", "16", "--kappa", "15"][..],
+        &["--kind", "hyper", "--n", "4", "--rank", "3", "--m", "4"],
+    ] {
+        let out = dgs(&[&["gen"], flags].concat());
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {}", stderr(&out));
+    }
+}

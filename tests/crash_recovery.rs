@@ -763,3 +763,80 @@ fn quarantine_survives_a_crash_and_resume_is_bit_identical() {
     fs::remove_dir_all(&wal).unwrap();
     fs::remove_dir_all(&snap).unwrap();
 }
+
+/// Recovery reads the log only from the snapshot it starts at (DESIGN.md,
+/// "Durability & recovery"): damage in a sealed segment wholly behind the
+/// newest valid snapshot is never read, so recovery and resume both return
+/// the exact durable state. Once that snapshot is damaged too, the ladder
+/// starts from an older one, reads the damaged segment and fails typed —
+/// never a panic, never a shorter stream.
+#[test]
+fn damage_behind_the_newest_snapshot_is_read_only_when_the_ladder_reaches_it() {
+    let stream = workload(35, 20);
+    // 16-record segments and a snapshot every 23 updates: crashing at 80
+    // leaves snapshots at 23, 46 and 69, with segment 3 (records 48..64)
+    // sealed and wholly between the two newest.
+    let crash_at = 80;
+    assert!(stream.len() >= crash_at, "workload too small");
+    let (wal_dir, snap_dir) = (tmpdir("behind-wal"), tmpdir("behind-snap"));
+    let cfg = one_shard(tight_cfg(12), 1);
+    let (n, max_rank) = (stream.n, stream.max_rank);
+    let build = move |_: usize| forest(n, 41);
+    let mut ing = SupervisedIngestor::create(&wal_dir, &snap_dir, n, max_rank, cfg, build).unwrap();
+    for u in &stream.updates[..crash_at] {
+        ing.push(u).unwrap();
+    }
+    let store = ing.shard_store(0).clone();
+    drop(ing); // crash
+    assert_eq!(store.offsets().unwrap(), vec![23, 46, 69]);
+    let mut reference = forest(n, 41);
+    for u in &stream.updates[..crash_at] {
+        reference.apply_update(u).unwrap();
+    }
+
+    let damaged = wal_dir.join("seg-00000003.wal");
+    let bytes = fs::read(&damaged).unwrap();
+    fs::write(&damaged, with_bit_flipped(&bytes, 8 * 60)).unwrap();
+    assert!(matches!(
+        read_wal(&wal_dir),
+        Err(WalError::Corrupt { segment: 3, .. })
+    ));
+
+    let rec: Recovered<SpanningForestSketch> = RecoveryDriver::new(&wal_dir, store.clone())
+        .recover(|_, _| forest(n, 41))
+        .unwrap();
+    assert_eq!(rec.from_snapshot, Some(69));
+    assert_eq!((rec.offset, rec.replayed), (80, 11));
+    assert_eq!(encoded(&rec.sketch), encoded(&reference));
+    let (ing, durable) =
+        SupervisedIngestor::resume(&wal_dir, &snap_dir, n, max_rank, cfg, build).unwrap();
+    assert_eq!(durable, crash_at as u64);
+    assert_eq!(ing.shard_encoded(0), encoded(&reference));
+    drop(ing);
+
+    // The newest snapshot damaged too: the ladder falls back to snapshot
+    // 46, whose tail holds segment 3.
+    let newest = store.dir().join(format!("snap-{:012}.ckpt", 69));
+    let bytes = fs::read(&newest).unwrap();
+    fs::write(&newest, with_bit_flipped(&bytes, 8 * bytes.len() / 2)).unwrap();
+    match RecoveryDriver::new(&wal_dir, store.clone()).recover(|_, _| forest(n, 41)) {
+        Err(RecoveryError::Wal(WalError::Corrupt { segment: 3, .. })) => {}
+        other => panic!(
+            "expected segment-3 corruption, got {:?}",
+            other.map(|r| r.offset)
+        ),
+    }
+    match SupervisedIngestor::resume(&wal_dir, &snap_dir, n, max_rank, cfg, build) {
+        Err(RecoveryError::Shard {
+            shard: 0,
+            segment: Some(3),
+            ..
+        }) => {}
+        other => panic!(
+            "expected shard 0 to fail at segment 3, got {:?}",
+            other.map(|(_, durable)| durable)
+        ),
+    }
+    fs::remove_dir_all(&wal_dir).unwrap();
+    fs::remove_dir_all(&snap_dir).unwrap();
+}
